@@ -12,7 +12,10 @@ order.  Results are therefore a pure function of
 worker count, with workers mapped over blocks via a process pool.
 
 Estimates per replication are computed with the same formulas as the scalar
-estimators in :mod:`robustfinite.estimators`, vectorized across rows.
+estimators in :mod:`robustfinite.estimators`, vectorized across rows.  The
+pairwise estimators (shamos, hl1, hl2, hl3) call the one chunked kernel that
+the scalar API and the control charts share: it holds all O(n^2) pairs of a
+row, but never more than one buffer of about 2 MB per chunk of rows.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._normal import MAD_SCALE, PAIR_DIFF_SCALE, standard_normal
-from .estimators import Estimator
+from .estimators import _PAIRWISE, Estimator, _check_pair_limit, _pair_medians
 from .factors import BiasModel, normalized_variance
 
 __all__ = [
@@ -49,11 +51,6 @@ __all__ = [
 # the output) never depends on worker count or machine.
 BLOCK_SIZE = 4096
 
-# Row chunks are capped at this many matrix elements when an estimator
-# expands each row into O(n^2) pairs; chunking only batches row-wise work
-# and cannot change any per-row result.
-_CHUNK_ELEMENTS = 16_000_000
-
 WORKERS_ENV_VAR = "ROBUST_FINITE_THREADS"
 
 
@@ -63,7 +60,11 @@ def resolve_worker_count(worker_count: int | str | None = "auto") -> int:
     if worker_count in (None, "auto"):
         env = os.environ.get(WORKERS_ENV_VAR)
         if env:
-            return max(1, int(env))
+            try:
+                return max(1, int(env))
+            except ValueError:
+                raise ValueError(f"{WORKERS_ENV_VAR} must be an integer worker count, "
+                                 f"got {env!r}") from None
         return os.cpu_count() or 1
     return max(1, int(worker_count))
 
@@ -132,14 +133,8 @@ class _Moments:
 # vectorized per-replication estimates
 
 
-@lru_cache(maxsize=128)
-def _pair_indices(n: int, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1 if strict else 0)
-
-
 def _row_estimates(estimator: Estimator, block: np.ndarray) -> np.ndarray:
     """Estimator value for each row of a (rows, n) sample block."""
-    n = block.shape[1]
     if estimator == Estimator.MEAN:
         return block.mean(axis=1)
     if estimator == Estimator.MEDIAN:
@@ -150,37 +145,17 @@ def _row_estimates(estimator: Estimator, block: np.ndarray) -> np.ndarray:
         mid = np.median(block, axis=1, keepdims=True)
         return np.median(np.abs(block - mid), axis=1) * MAD_SCALE
     if estimator == Estimator.SHAMOS:
-        i, j = _pair_indices(n, strict=True)
-        return _chunked_pair_median(block, lambda m: np.abs(m[:, i] - m[:, j]),
-                                    len(i)) * PAIR_DIFF_SCALE
-    if estimator in (Estimator.HL1, Estimator.HL2):
-        i, j = _pair_indices(n, strict=estimator == Estimator.HL1)
-        return _chunked_pair_median(block, lambda m: 0.5 * (m[:, i] + m[:, j]),
-                                    len(i))
-    if estimator == Estimator.HL3:
-        return _chunked_pair_median(
-            block,
-            lambda m: 0.5 * (m[:, :, None] + m[:, None, :]).reshape(m.shape[0], -1),
-            n * n,
-        )
+        return _pair_medians(block, "shamos") * PAIR_DIFF_SCALE
+    if estimator in _PAIRWISE:  # hl1, hl2, hl3
+        return _pair_medians(block, estimator.value)
     raise ValueError(f"unsupported estimator {estimator}")
-
-
-def _chunked_pair_median(block: np.ndarray, expand, width: int) -> np.ndarray:
-    rows = block.shape[0]
-    step = max(1, _CHUNK_ELEMENTS // max(width, 1))
-    if step >= rows:
-        return np.median(expand(block), axis=1)
-    out = np.empty(rows)
-    for start in range(0, rows, step):
-        part = block[start:start + step]
-        out[start:start + step] = np.median(expand(part), axis=1)
-    return out
 
 
 def _validate_estimator_n(estimator: Estimator, n: int) -> None:
     if n < estimator.min_n:
         raise ValueError(f"{estimator.value} requires n >= {estimator.min_n}, got {n}")
+    if estimator in _PAIRWISE:
+        _check_pair_limit(estimator.value, n)
 
 
 # ---------------------------------------------------------------------------

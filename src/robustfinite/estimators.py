@@ -15,12 +15,20 @@ enter the pairwise-average multiset:
 
 Scale estimators accept ``consistent=True`` (default) to apply the constant
 that makes them consistent for sigma under a normal population.
+
+The four pairwise estimators (shamos, hl1, hl2, hl3) share one kernel,
+``_pair_medians``, over the rows of a 2-d array.  The scalar functions here
+are 1-row calls of it, and the simulator (``calibration``) and the control
+charts (``spc``) call it on whole blocks.  It forms the pairs of a chunk of
+rows at a time in one reused buffer of about 2 MB and selects the medians
+there in place: memory is O(n^2) for one row, but bounded per chunk of rows.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -42,9 +50,19 @@ __all__ = [
     "PAIR_LIMIT",
 ]
 
-# Pairwise estimators materialize the O(n^2) pair multiset; beyond this the
-# memory cost is unreasonable and callers get an explicit size-limit error.
+# Pairwise estimators still hold all O(n^2) pairs of one row at once (a
+# chunk of rows shares one buffer of _BUFFER_PAIRS pairs, but a single row
+# larger than that gets a buffer of its own); beyond this the memory cost is
+# unreasonable and callers get an explicit size-limit error.
 PAIR_LIMIT = 10_000
+
+# Pair values per chunk buffer: 2 MB of doubles, small enough to stay in cache
+# while a chunk of rows is built and partitioned.
+_BUFFER_PAIRS = 1 << 18
+
+# Up to this many pairs, one row's two middle values are selected together;
+# above it, the upper one alone and the lower one as the max of the left part.
+_SHORT_ROW_PAIRS = 128
 
 
 class Estimator(str, enum.Enum):
@@ -79,6 +97,10 @@ class Estimator(str, enum.Enum):
         return 1
 
 
+# Estimators whose value is a median over pairs of observations.
+_PAIRWISE = (Estimator.SHAMOS, Estimator.HL1, Estimator.HL2, Estimator.HL3)
+
+
 def _as_sample(values: Iterable[float], min_n: int = 1) -> np.ndarray:
     """Validate and convert input to a finite 1-d float array."""
     arr = np.asarray(values, dtype=float)
@@ -86,7 +108,7 @@ def _as_sample(values: Iterable[float], min_n: int = 1) -> np.ndarray:
         arr = arr.reshape(-1)
     if arr.size < min_n:
         raise ValueError(f"sample of size {arr.size} given; need at least {min_n}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("sample contains NaN or infinite values")
     return arr
 
@@ -121,22 +143,119 @@ def median(values: Iterable[float]) -> float:
     return _median_of(_as_sample(values))
 
 
-def _pair_averages(arr: np.ndarray, variant: str) -> np.ndarray:
-    n = arr.size
+def _check_pair_limit(name: str, n: int) -> None:
     if n > PAIR_LIMIT:
         raise ValueError(
-            f"size limit: pairwise estimators support n <= {PAIR_LIMIT}, got {n}"
+            f"size limit: pairwise estimator {name} supports n <= {PAIR_LIMIT}, got n={n}"
         )
-    sums = np.add.outer(arr, arr)
-    if variant == "hl1":
-        i, j = np.triu_indices(n, k=1)
-    elif variant == "hl2":
-        i, j = np.triu_indices(n, k=0)
-    elif variant == "hl3":
-        return 0.5 * sums.ravel()
+
+
+@lru_cache(maxsize=32)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices (i, j) of the pairs i < j, followed by the diagonal
+    i == j that hl2 adds.  Only asked for while one row's pairs fit the
+    buffer, so an entry is at most about 4 MB."""
+    i, j = np.triu_indices(n, k=1)
+    d = np.arange(n)
+    return np.concatenate([i, d]), np.concatenate([j, d])
+
+
+def _fill_pairs(rows: np.ndarray, kind: str, out: np.ndarray) -> None:
+    """Write the pair values of each row into the same row of ``out``:
+    ``S[j] - S[i]`` (i < j) of sorted rows for shamos, and for the
+    Hodges-Lehmann variants the pair sums ``x_i + x_j`` (i < j for hl1,
+    then the diagonal for hl2, every ordered pair for hl3), not yet halved.
+    """
+    r, n = rows.shape
+    m = out.shape[1]
+    if kind == "hl3":
+        np.add(rows[:, :, None], rows[:, None, :], out=out.reshape(r, n, n))
+        return
+    op = np.subtract if kind == "shamos" else np.add
+    if m <= _BUFFER_PAIRS:
+        i, j = _pair_index(n)
+        np.take(rows, j[:m], axis=1, out=out, mode="clip")
+        op(out, np.take(rows, i[:m], axis=1, mode="clip"), out=out)
     else:
-        raise ValueError(f"unknown Hodges-Lehmann variant: {variant!r}")
-    return 0.5 * sums[i, j]
+        # a row this long fills a chunk alone and gets no index arrays
+        at = 0
+        for i in range(n - 1):
+            op(rows[:, i + 1:], rows[:, i, None], out=out[:, at:at + n - 1 - i])
+            at += n - 1 - i
+        if kind == "hl2":
+            np.add(rows, rows, out=out[:, at:])
+
+
+def _pair_medians(block: np.ndarray, kind: str) -> np.ndarray:
+    """Median of the pair values of each row of a (rows, n) float array.
+
+    ``kind`` is one of "shamos" (``|x_i - x_j|``, unscaled), "hl1", "hl2"
+    or "hl3" (``0.5 * (x_i + x_j)``).  The result is the same double as
+    forming every pair value and taking the midpoint median, ``0.5 * (lo +
+    hi)`` of the two middle values for an even count.  Rows are handled in
+    chunks whose pairs fill one reused buffer, partitioned in place.
+    """
+    rows, n = block.shape
+    upper = n * (n - 1) // 2
+    m = n * n if kind == "hl3" else upper + n if kind == "hl2" else upper
+    k = m // 2
+    # Halving is monotone, so the Hodges-Lehmann sums are selected and only
+    # the two middle ones halved: the same doubles as halving every pair.
+    half = 1.0 if kind == "shamos" else 0.5
+    # Differences need sorted rows.  Sums do not, but the sums of a sorted
+    # row too long to share the buffer partition about three times faster.
+    raw = block
+    if kind == "shamos" or m > _BUFFER_PAIRS:
+        block = np.sort(block, axis=1)
+    step = max(1, _BUFFER_PAIRS // m)
+    buf = np.empty((min(rows, step), m))
+    out = np.empty(rows)
+    for start in range(0, rows, step):
+        chunk = block[start:start + step]
+        pairs = buf[:len(chunk)]
+        _fill_pairs(chunk, kind, pairs)
+        # numpy selects one kth with a vectorised quickselect but several
+        # with a scalar introselect: only for one short row does a second
+        # kth cost less than a max-reduce call
+        short = len(chunk) == 1 and m % 2 == 0 and m <= _SHORT_ROW_PAIRS
+        pairs.partition((k - 1, k) if short else k, axis=1)
+        hi = pairs[:, k]
+        if m % 2:
+            lo = hi
+        elif short:
+            lo = pairs[:, k - 1]
+        else:
+            lo = np.maximum.reduce(pairs[:, :k], axis=1)
+        if len(chunk) == 1:
+            # one row, as from the scalar API: Python floats cost less than
+            # 1-element arrays
+            lo, hi = half * lo.item(), half * hi.item()
+            zeros = [0] if lo == hi == 0 else []
+        else:
+            lo, hi = half * lo, half * hi
+            zeros = np.flatnonzero((lo == 0) & (hi == 0))
+        out[start:start + len(chunk)] = hi if m % 2 else 0.5 * (lo + hi)
+        if kind != "shamos":
+            for r in zeros:
+                out[start + r] = _zero_rank_sign(raw[start + r], kind, k, pairs[r])
+    # |x_i - x_j| is never -0.0, but +0.0 - -0.0 of sorted values can be
+    return np.abs(out, out=out) if kind == "shamos" else out
+
+
+def _zero_rank_sign(row: np.ndarray, kind: str, k: int, scratch: np.ndarray) -> float:
+    """Sign of a Hodges-Lehmann median whose two middle pair values are
+    zeros: -0.0 ranks before +0.0, so the sign does not depend on the order
+    of the pairs.
+
+    The pairs are formed afresh in ``scratch`` (one row of the buffer) from
+    the unsorted row: sorting and partitioning treat -0.0 and +0.0 as equal
+    and may write either in place of the other.  A halved sum is negative or
+    -0.0 exactly when the sum is.
+    """
+    sums = scratch[None, :]
+    _fill_pairs(row[None, :], kind, sums)
+    below = np.count_nonzero(sums < 0) + np.count_nonzero(np.signbit(sums) & (sums == 0))
+    return -0.0 if k < below else 0.0
 
 
 def hodges_lehmann(values: Iterable[float], variant: str = "hl1") -> float:
@@ -151,8 +270,11 @@ def hodges_lehmann(values: Iterable[float], variant: str = "hl1") -> float:
         Which index pairs enter the multiset (see module docstring).
     """
     variant = str(variant).lower()
+    if variant not in ("hl1", "hl2", "hl3"):
+        raise ValueError(f"unknown Hodges-Lehmann variant: {variant!r}")
     arr = _as_sample(values, min_n=2 if variant == "hl1" else 1)
-    return _median_of(_pair_averages(arr, variant))
+    _check_pair_limit(variant, arr.size)
+    return float(_pair_medians(arr[None, :], variant)[0])
 
 
 def hl1(values: Iterable[float]) -> float:
@@ -188,12 +310,8 @@ def shamos(values: Iterable[float], consistent: bool = True) -> float:
     consistent for sigma under a normal population.
     """
     arr = _as_sample(values, min_n=2)
-    if arr.size > PAIR_LIMIT:
-        raise ValueError(
-            f"size limit: pairwise estimators support n <= {PAIR_LIMIT}, got {arr.size}"
-        )
-    i, j = np.triu_indices(arr.size, k=1)
-    raw = _median_of(np.abs(arr[i] - arr[j]))
+    _check_pair_limit("shamos", arr.size)
+    raw = float(_pair_medians(arr[None, :], "shamos")[0])
     return raw * PAIR_DIFF_SCALE if consistent else raw
 
 

@@ -19,10 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._normal import MAD_SCALE, PAIR_DIFF_SCALE, standard_normal
-from .calibration import _block_rng, _block_sizes, resolve_worker_count
-from .estimators import mad as _mad
-from .estimators import shamos as _shamos
+from ._normal import standard_normal
+from .calibration import _block_rng, _block_sizes, _row_estimates, resolve_worker_count
+from .estimators import Estimator
 from .estimators import std_dev as _std
 from .factors import c4, c5, c6
 
@@ -96,11 +95,11 @@ class SubgroupSeries:
 
     @cached_property
     def mads(self) -> np.ndarray:
-        return np.array([_mad(row) for row in self.data])
+        return _row_estimates(Estimator.MAD, self.data)
 
     @cached_property
     def shamoses(self) -> np.ndarray:
-        return np.array([_shamos(row) for row in self.data])
+        return _row_estimates(Estimator.SHAMOS, self.data)
 
 
 @dataclass(frozen=True)
@@ -180,13 +179,11 @@ def read_subgroups(path) -> SubgroupSeries:
 def _three_sigma_estimates(data: np.ndarray) -> dict[str, np.ndarray]:
     """Per-replication three-sigma estimates for a (reps, k, n) array,
     one entry per method in EXPERIMENT_METHODS."""
-    n = data.shape[2]
+    reps, k, n = data.shape
     s_bar = data.std(axis=2, ddof=1).mean(axis=1)
-    mid = np.median(data, axis=2, keepdims=True)
-    mad_bar = (np.median(np.abs(data - mid), axis=2) * MAD_SCALE).mean(axis=1)
-    i, j = np.triu_indices(n, k=1)
-    sh_bar = (np.median(np.abs(data[:, :, i] - data[:, :, j]), axis=2)
-              * PAIR_DIFF_SCALE).mean(axis=1)
+    rows = data.reshape(-1, n)
+    mad_bar = _row_estimates(Estimator.MAD, rows).reshape(reps, k).mean(axis=1)
+    sh_bar = _row_estimates(Estimator.SHAMOS, rows).reshape(reps, k).mean(axis=1)
     return {
         "std": 3.0 * s_bar,
         "unbiased-std": 3.0 * s_bar / c4(n),

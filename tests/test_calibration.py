@@ -19,6 +19,7 @@ from robustfinite.calibration import (
     simulate_bias,
     simulate_variance,
 )
+from robustfinite.estimators import PAIR_LIMIT
 from robustfinite.factors import c5
 
 # analytic oracle, derived before the build: for two normal observations
@@ -76,6 +77,20 @@ class TestConfigValidation:
     def test_minimum_replications(self):
         with pytest.raises(ValueError):
             SimulationConfig("mean", (3,), master_seed=0, replications=99)
+
+    def test_pairwise_size_guard(self):
+        # building the config allocates nothing, so the limit is cheap to test
+        for est in ("shamos", "hl1", "hl2", "hl3"):
+            with pytest.raises(ValueError, match=rf"{est}.*n={PAIR_LIMIT + 1}"):
+                SimulationConfig(est, (5, PAIR_LIMIT + 1), master_seed=0)
+            SimulationConfig(est, (PAIR_LIMIT,), master_seed=0)  # fine
+        SimulationConfig("mad", (PAIR_LIMIT + 1,), master_seed=0)  # not pairwise
+
+    def test_non_integer_worker_env(self, monkeypatch):
+        monkeypatch.setenv("ROBUST_FINITE_THREADS", "two")
+        with pytest.raises(ValueError, match="ROBUST_FINITE_THREADS.*'two'"):
+            resolve_worker_count("auto")
+        assert resolve_worker_count(2) == 2  # an explicit count ignores the variable
 
     def test_worker_resolution(self, monkeypatch):
         assert resolve_worker_count(4) == 4

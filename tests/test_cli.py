@@ -145,6 +145,13 @@ class TestSimulateAndFit:
                                "--n", "1", "--reps", "500", "--seed", "0")
         assert code == 1
 
+    def test_non_integer_worker_env_is_data_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ROBUST_FINITE_THREADS", "two")
+        code, _, err = run_cli(capsys, "simulate", "--estimator", "mean",
+                               "--n", "3", "--reps", "500", "--seed", "0")
+        assert code == 1
+        assert "ROBUST_FINITE_THREADS" in err and "'two'" in err
+
     def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "sim.csv"
         outputs = []

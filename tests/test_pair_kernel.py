@@ -1,0 +1,99 @@
+"""The shared pairwise-median kernel against a pure-Python brute force.
+
+The reference forms every pair value exactly as each estimator defines it,
+sorts all of them (-0.0 before +0.0) and takes the midpoint median.  Every
+comparison is at ``float.hex`` equality, so signed zeros count.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from robustfinite import estimators as est
+from robustfinite.estimators import _BUFFER_PAIRS, _pair_medians
+
+KINDS = ("shamos", "hl1", "hl2", "hl3")
+MIN_N = {"shamos": 2, "hl1": 2, "hl2": 1, "hl3": 1}
+SCALAR = {
+    "shamos": lambda x: est.shamos(x, consistent=False),
+    "hl1": est.hl1,
+    "hl2": est.hl2,
+    "hl3": est.hl3,
+}
+
+
+def reference_pairs(x, kind):
+    n = len(x)
+    if kind == "shamos":
+        return [abs(x[i] - x[j]) for i in range(n) for j in range(i + 1, n)]
+    if kind == "hl3":
+        return [0.5 * (x[i] + x[j]) for i in range(n) for j in range(n)]
+    first = 1 if kind == "hl1" else 0
+    return [0.5 * (x[i] + x[j]) for i in range(n) for j in range(i + first, n)]
+
+
+def reference_median(x, kind):
+    v = sorted(reference_pairs([float(a) for a in x], kind),
+               key=lambda a: (a, math.copysign(1.0, a)))
+    m = len(v)
+    return v[m // 2] if m % 2 else 0.5 * (v[m // 2 - 1] + v[m // 2])
+
+
+def samples(rng, n):
+    """Continuous values, heavy ties, signed zeros and +-1e300 magnitudes."""
+    yield rng.normal(size=n)
+    yield rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=n)
+    yield rng.choice([-0.0, 0.0], size=n)
+    yield rng.choice([-1e300, -0.0, 0.0, 1e300, 3.0], size=n)
+    yield rng.integers(-3, 4, size=n) * 1e300
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_small_n_matches_brute_force(kind):
+    rng = np.random.default_rng(2024)
+    for n in range(MIN_N[kind], 41):
+        for x in samples(rng, n):
+            want = reference_median(x, kind).hex()
+            assert _pair_medians(x[None, :], kind)[0].hex() == want, (kind, list(x))
+            assert SCALAR[kind](x).hex() == want, (kind, list(x))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_across_chunks_matches_brute_force(kind):
+    rng = np.random.default_rng(7)
+    n = 60
+    pairs = {"shamos": 1770, "hl1": 1770, "hl2": 1830, "hl3": 3600}[kind]
+    step = _BUFFER_PAIRS // pairs
+    rows = 2 * step + 7  # three chunks, the last one partial
+    block = rng.normal(size=(rows, n))
+    block[::5] = np.round(block[::5])  # ties in every fifth row
+    got = _pair_medians(block, kind)
+    assert got.shape == (rows,)
+    for row, value in zip(block, got):
+        assert value.hex() == reference_median(row, kind).hex()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_row_larger_than_buffer_matches_brute_force(kind):
+    rng = np.random.default_rng(11)
+    x = np.round(rng.normal(size=800), 2)
+    assert 800 * 799 // 2 > _BUFFER_PAIRS
+    want = reference_median(x, kind).hex()
+    assert _pair_medians(x[None, :], kind)[0].hex() == want
+    assert SCALAR[kind](x).hex() == want
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_permutation_invariance(kind):
+    rng = np.random.default_rng(5)
+    for x in (rng.normal(size=23), rng.choice([-0.0, 0.0, 1.0, -1.0], size=24)):
+        block = np.array([rng.permutation(x) for _ in range(30)])
+        got = _pair_medians(block, kind)
+        assert np.all(got == got[0])
+        assert {v.hex() for v in got} == {got[0].hex()}
+
+
+def test_shamos_of_signed_zeros_is_positive_zero():
+    assert est.shamos([-0.0, 0.0, 0.0]).hex() == "0x0.0p+0"
+    assert est.shamos([0.0, -0.0]).hex() == "0x0.0p+0"

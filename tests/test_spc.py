@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robustfinite.estimators import mad as scalar_mad
+from robustfinite.estimators import shamos as scalar_shamos
 from robustfinite.factors import c4, c5, c6
 from robustfinite.spc import (
     CHART_METHODS,
@@ -58,6 +59,24 @@ class TestSubgroupSeries:
         assert s.k == 4 and s.n == 6
         assert s.means.shape == (4,)
         assert s.mads[2] == pytest.approx(scalar_mad(s.data[2]), rel=1e-12)
+
+    def test_row_statistics_match_scalar_estimators(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 5, 8):
+            data = rng.normal(size=(50, n))
+            data[::4] = np.round(data[::4])  # ties
+            s = SubgroupSeries(data)
+            assert np.array_equal(s.mads, [scalar_mad(row) for row in data])
+            assert np.array_equal(s.shamoses, [scalar_shamos(row) for row in data])
+
+    def test_robust_chart_limits_match_scalar_loop(self):
+        s = _normal_series(k=40, n=7, seed=3)
+        scale = {"mad-c5": (a5, scalar_mad), "shamos-c6": (a6, scalar_shamos)}
+        for method, (factor, fn) in scale.items():
+            half = factor(s.n) * float(np.array([fn(row) for row in s.data]).mean())
+            limits = chart_limits(s, method)
+            assert limits.ucl == float(s.means.mean()) + half
+            assert limits.three_sigma == math.sqrt(s.n) * half
 
 
 class TestChartLimits:
