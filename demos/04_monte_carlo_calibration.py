@@ -12,14 +12,14 @@ from robustfinite.calibration import (
     SimulationConfig,
     fit_hayes,
     fit_williams,
-    simulate_bias,
+    simulate,
 )
 
 REPS = 50_000  # the shipped tables used 10^7; this runs in seconds
 
 config = SimulationConfig("mad", n_values=(2, 5, 10, 20, 50),
                           master_seed=2024, replications=REPS)
-results = simulate_bias(config)
+results = simulate(config)
 
 print(f"consistent MAD bias at N(0,1), {REPS} replications, seed 2024")
 print(f"{'n':>4} {'simulated':>11} {'mc se':>9} {'table':>11} {'pull':>6}")

@@ -29,8 +29,6 @@ from .calibration import (
     fit_williams,
     regenerate_table,
     simulate,
-    simulate_bias,
-    simulate_variance,
 )
 from .estimators import (
     Estimator,

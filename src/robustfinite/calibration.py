@@ -4,12 +4,14 @@ bias-model forms.
 
 Reproducibility contract
 ------------------------
-Replications are split into fixed-size blocks; block b of sample size n
-draws from its own counter-based (Philox) substream keyed by
-``(master_seed, n, b)``, and per-block moment summaries are merged in block
-order.  Results are therefore a pure function of
-(estimator, n_values, replications, master_seed): bit-identical for any
-worker count, with workers mapped over blocks via a process pool.
+One block runner, ``_run_blocks``, serves ``simulate``, ``regenerate_table``
+and ``spc.contamination_experiment``.  Replications are split into
+fixed-size blocks; block b of a cell draws from its own counter-based
+(Philox) substream keyed by ``(master_seed, stream, b)``, where the stream
+is n for the simulator and k*n for the contamination experiment, and the
+per-block ``_Moments`` are merged in block order.  Results are therefore a
+pure function of the experiment and its master seed: bit-identical for any
+worker count, with workers mapped over blocks via one process pool per call.
 
 Estimates per replication are computed with the same formulas as the scalar
 estimators in :mod:`robustfinite.estimators`, vectorized across rows.  The
@@ -24,7 +26,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -36,8 +38,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "simulate",
-    "simulate_bias",
-    "simulate_variance",
     "FitInput",
     "fit_hayes",
     "fit_williams",
@@ -56,17 +56,22 @@ WORKERS_ENV_VAR = "ROBUST_FINITE_THREADS"
 
 def resolve_worker_count(worker_count: int | str | None = "auto") -> int:
     """Resolve a worker-count setting; "auto" honors the environment
-    override before falling back to the CPU count."""
+    override before falling back to the CPU count.  A count that is not an
+    integer, or is below 1, is an error that names where it came from."""
+    source = "worker count"
     if worker_count in (None, "auto"):
         env = os.environ.get(WORKERS_ENV_VAR)
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                raise ValueError(f"{WORKERS_ENV_VAR} must be an integer worker count, "
-                                 f"got {env!r}") from None
-        return os.cpu_count() or 1
-    return max(1, int(worker_count))
+        if not env:
+            return os.cpu_count() or 1
+        worker_count, source = env, WORKERS_ENV_VAR
+    try:
+        count = int(worker_count)
+    except ValueError:
+        count = None
+    if count is None or count < 1:
+        raise ValueError(f"{source} must be an integer of at least 1, "
+                         f"got {worker_count!r}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +80,11 @@ def resolve_worker_count(worker_count: int | str | None = "auto") -> int:
 
 @dataclass(frozen=True)
 class _Moments:
-    """Count, mean, and central moment sums M2..M4 of a stream of values."""
+    """Count, mean, and central moment sums M2..M4 of a stream of values.
+
+    ``merge`` combines two summaries with the pairwise update formulas of
+    Pebay 2008 (SAND2008-6212), so no sum of squares is ever differenced.
+    """
 
     count: int = 0
     mean: float = 0.0
@@ -174,44 +183,50 @@ def _block_rng(master_seed: int, n: int, block_index: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _run_block(estimators: tuple[str, ...], n: int, master_seed: int,
-               block_index: int, block_size: int) -> tuple[int, int, list[_Moments]]:
-    rng = _block_rng(master_seed, n, block_index)
-    sample = standard_normal(rng, (block_size, n))
-    moments = [_Moments.of(_row_estimates(Estimator(e), sample)) for e in estimators]
-    return n, block_index, moments
+def _run_block(task) -> list[_Moments]:
+    fn, master_seed, stream, b, size, args = task
+    return fn(_block_rng(master_seed, stream, b), size, *args)
 
 
-def _run_blocks(estimators: Sequence[Estimator], n_values: Sequence[int],
-                replications: int, master_seed: int,
-                workers: int) -> dict[int, list[_Moments]]:
-    """Per-n merged moments for each estimator, merge order fixed by block index."""
-    names = tuple(e.value for e in estimators)
+def _run_blocks(fn: Callable[..., list[_Moments]],
+                cells: dict[Hashable, tuple[int, tuple]], replications: int,
+                master_seed: int, worker_count: int | str | None
+                ) -> dict[Hashable, list[_Moments]]:
+    """Run every replication block of every cell and merge each cell's
+    moments in block order.
+
+    ``cells`` maps a key to ``(stream, args)``; block b of the cell calls
+    ``fn(rng, size, *args)`` with the substream ``(master_seed, stream, b)``
+    and returns one ``_Moments`` per statistic.  ``fn`` must be a
+    module-level function, so pool workers can unpickle it.  The call opens
+    at most one process pool, of min(requested, blocks, CPUs) workers.
+    """
     sizes = _block_sizes(replications)
-    tasks = [(names, n, master_seed, b, size)
-             for n in n_values for b, size in enumerate(sizes)]
-
-    results: dict[tuple[int, int], list[_Moments]] = {}
-    if workers <= 1 or len(tasks) == 1:
-        for t in tasks:
-            n, b, moments = _run_block(*t)
-            results[(n, b)] = moments
+    tasks = [(fn, master_seed, stream, b, size, args)
+             for stream, args in cells.values() for b, size in enumerate(sizes)]
+    workers = min(resolve_worker_count(worker_count), len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        results = [_run_block(t) for t in tasks]
     else:
+        # at most tasks/(2*workers) blocks a chunk, so every worker gets some
+        chunk = min(4, max(1, len(tasks) // (2 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for n, b, moments in pool.map(_run_block_star, tasks, chunksize=4):
-                results[(n, b)] = moments
+            results = list(pool.map(_run_block, tasks, chunksize=chunk))
 
-    merged: dict[int, list[_Moments]] = {}
-    for n in n_values:
-        acc = [_Moments() for _ in estimators]
-        for b in range(len(sizes)):
-            acc = [a.merge(m) for a, m in zip(acc, results[(n, b)])]
-        merged[n] = acc
+    merged = {}
+    for c, key in enumerate(cells):
+        blocks = results[c * len(sizes):(c + 1) * len(sizes)]
+        acc = blocks[0]
+        for moments in blocks[1:]:
+            acc = [a.merge(m) for a, m in zip(acc, moments)]
+        merged[key] = acc
     return merged
 
 
-def _run_block_star(args):
-    return _run_block(*args)
+def _estimator_block(rng: np.random.Generator, size: int, n: int,
+                     estimators: tuple[Estimator, ...]) -> list[_Moments]:
+    sample = standard_normal(rng, (size, n))
+    return [_Moments.of(_row_estimates(e, sample)) for e in estimators]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +280,10 @@ def _truth(estimator: Estimator) -> float:
 def simulate(config: SimulationConfig) -> list[SimulationResult]:
     """Run the Monte Carlo experiment described by ``config``."""
     est = Estimator(config.estimator)
-    workers = resolve_worker_count(config.worker_count)
-    merged = _run_blocks([est], config.n_values, config.replications,
-                         config.master_seed, workers)
+    merged = _run_blocks(_estimator_block,
+                         {n: (n, (n, (est,))) for n in config.n_values},
+                         config.replications, config.master_seed,
+                         config.worker_count)
     out = []
     for n in config.n_values:
         mom = merged[n][0]
@@ -283,17 +299,6 @@ def simulate(config: SimulationConfig) -> list[SimulationResult]:
             mc_se_variance=mom.se_variance,
         ))
     return out
-
-
-def simulate_bias(config: SimulationConfig) -> list[SimulationResult]:
-    """Empirical bias of an estimator per sample size (see ``simulate``)."""
-    return simulate(config)
-
-
-def simulate_variance(config: SimulationConfig) -> list[SimulationResult]:
-    """Empirical variance per sample size, raw and normalized (n*Var for
-    location, Var/(1 - c4^2) for scale)."""
-    return simulate(config)
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +418,20 @@ def regenerate_table(table_id: str, n_values: Iterable[int], master_seed: int,
     """
     if table_id not in _TABLE_COLUMNS:
         raise ValueError(f"unknown table id {table_id!r}")
+    if replications < 100:
+        raise ValueError("need at least 100 replications")
     columns = _TABLE_COLUMNS[table_id]
     n_values = [int(n) for n in n_values]
-    workers = resolve_worker_count(worker_count)
+    baselines = (Estimator.MEAN, Estimator.STD) if table_id == "re" else ()
+    batches = {n: tuple(e for e in columns + baselines if n >= e.min_n)
+               for n in n_values}
+    merged = _run_blocks(_estimator_block,
+                         {n: (n, (n, batch)) for n, batch in batches.items()},
+                         replications, master_seed, worker_count)
 
     rows = []
     for n in n_values:
-        active = [e for e in columns if n >= e.min_n]
-        baselines = (Estimator.MEAN, Estimator.STD) if table_id == "re" else ()
-        batch = list(active) + [b for b in baselines if n >= b.min_n]
-        merged = _run_blocks(batch, [n], replications, master_seed, workers)[n]
-        by_est = dict(zip(batch, merged))
+        by_est = dict(zip(batches[n], merged[n]))
         row: dict = {"n": n}
         for e in columns:
             if e not in by_est:

@@ -15,9 +15,9 @@ import argparse
 import sys
 
 from . import __version__, breakdown, calibration, estimators, factors, spc
+from .estimators import Estimator
 
-_LOCATION = ("mean", "median", "hl1", "hl2", "hl3")
-_SCALE = ("std", "mad", "shamos")
+_ESTIMATORS = [e.value for e in Estimator]
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -79,7 +79,7 @@ def _emit(args, header: list[str], rows: list[list[str]]) -> None:
 def _cmd_estimate(args) -> None:
     values = _read_observations(args.input)
     name = args.estimator
-    if args.unbiased and name in _LOCATION:
+    if args.unbiased and Estimator(name).is_location:
         raise _Usage("--unbiased applies only to scale estimators (std, mad, shamos)")
     if name == "mean":
         value = estimators.mean(values)
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate", help="estimate location/scale from a data file")
-    p.add_argument("--estimator", required=True, choices=_LOCATION + _SCALE)
+    p.add_argument("--estimator", required=True, choices=_ESTIMATORS)
     p.add_argument("--input", required=True, help="CSV/text: one observation per line")
     p.add_argument("--unbiased", action="store_true",
                    help="apply the finite-sample unbiasing factor (scale only)")
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_factors)
 
     p = sub.add_parser("simulate", help="Monte Carlo bias/variance of an estimator")
-    p.add_argument("--estimator", required=True, choices=_LOCATION + _SCALE)
+    p.add_argument("--estimator", required=True, choices=_ESTIMATORS)
     p.add_argument("--n", required=True, help="sizes, e.g. 2,3,5 or 2:100")
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)

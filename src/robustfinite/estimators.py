@@ -121,14 +121,30 @@ def select_kth(values: Iterable[float], k: int) -> float:
     arr = _as_sample(values)
     if not 0 <= k < arr.size:
         raise ValueError(f"k={k} out of range for sample of size {arr.size}")
-    return float(np.partition(arr, k)[k])
+    value = float(np.partition(arr, k)[k])
+    return _zero_at_rank(arr, k) if value == 0 else value
+
+
+def _zero_at_rank(values: np.ndarray, k: int) -> float:
+    """The zero at rank k (0-based) when -0.0 ranks before +0.0.
+
+    Partitioning treats -0.0 and +0.0 as equal and may return either, so
+    the sign is counted instead: -0.0 when more than k values are negative
+    or -0.0.
+    """
+    below = np.count_nonzero(values < 0) + np.count_nonzero(np.signbit(values) & (values == 0))
+    return -0.0 if k < below else 0.0
 
 
 def _median_of(arr: np.ndarray) -> float:
     """Median of an array that is already validated: midpoint rule for even sizes."""
     m = arr.size
     half = np.partition(arr, [(m - 1) // 2, m // 2])
-    return float(0.5 * (half[(m - 1) // 2] + half[m // 2]))
+    lo, hi = half[(m - 1) // 2], half[m // 2]
+    if lo == hi == 0:
+        # the midpoint of two zeros is -0.0 only if the upper one is
+        return _zero_at_rank(arr, m // 2)
+    return float(0.5 * (lo + hi))
 
 
 def mean(values: Iterable[float]) -> float:
@@ -202,10 +218,12 @@ def _pair_medians(block: np.ndarray, kind: str) -> np.ndarray:
     # Halving is monotone, so the Hodges-Lehmann sums are selected and only
     # the two middle ones halved: the same doubles as halving every pair.
     half = 1.0 if kind == "shamos" else 0.5
-    # Differences need sorted rows.  Sums do not, but the sums of a sorted
-    # row too long to share the buffer partition about three times faster.
+    # Differences need sorted rows, except the one difference of n = 2,
+    # whose absolute value is the same either way.  Sums need no sorting,
+    # but the sums of a sorted row too long to share the buffer partition
+    # about three times faster.
     raw = block
-    if kind == "shamos" or m > _BUFFER_PAIRS:
+    if (kind == "shamos" and n > 2) or m > _BUFFER_PAIRS:
         block = np.sort(block, axis=1)
     step = max(1, _BUFFER_PAIRS // m)
     buf = np.empty((min(rows, step), m))
@@ -254,8 +272,7 @@ def _zero_rank_sign(row: np.ndarray, kind: str, k: int, scratch: np.ndarray) -> 
     """
     sums = scratch[None, :]
     _fill_pairs(row[None, :], kind, sums)
-    below = np.count_nonzero(sums < 0) + np.count_nonzero(np.signbit(sums) & (sums == 0))
-    return -0.0 if k < below else 0.0
+    return _zero_at_rank(sums, k)
 
 
 def hodges_lehmann(values: Iterable[float], variant: str = "hl1") -> float:

@@ -24,6 +24,7 @@ from importlib import resources
 
 import numpy as np
 
+from .breakdown import _check_n
 from .estimators import Estimator, mad, shamos
 
 __all__ = [
@@ -35,8 +36,6 @@ __all__ = [
     "MAD_BIAS_WILLIAMS",
     "SHAMOS_BIAS_HAYES",
     "SHAMOS_BIAS_WILLIAMS",
-    "hayes_eval",
-    "williams_eval",
     "mad_bias",
     "shamos_bias",
     "c5",
@@ -93,13 +92,6 @@ def load_table(name: str) -> dict[int, dict[str, float]]:
     return table
 
 
-def _check_n(n: int, min_n: int = 2) -> int:
-    n = int(n)
-    if n < min_n:
-        raise ValueError(f"n must be >= {min_n}, got {n}")
-    return n
-
-
 @lru_cache(maxsize=None)
 def c4(n: int) -> float:
     """Unbiasing factor for the sample standard deviation:
@@ -108,7 +100,7 @@ def c4(n: int) -> float:
     Evaluated through log-gamma differences, so it neither overflows nor
     loses accuracy for large n.
     """
-    n = _check_n(n)
+    n = _check_n(n, min_n=2)
     return math.sqrt(2.0 / (n - 1)) * math.exp(
         math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0)
     )
@@ -138,20 +130,6 @@ class BiasModel:
         return a * n ** (-b)
 
 
-def hayes_eval(model: BiasModel, n: float) -> float:
-    """Evaluate a rational bias model p/n + q/n^2."""
-    if model.form != "hayes":
-        raise ValueError(f"expected a hayes-form model, got {model.form!r}")
-    return model.evaluate(n)
-
-
-def williams_eval(model: BiasModel, n: float) -> float:
-    """Evaluate a power-law bias model amp * n**(-exponent)."""
-    if model.form != "williams":
-        raise ValueError(f"expected a williams-form model, got {model.form!r}")
-    return model.evaluate(n)
-
-
 # Published large-n bias models (least-squares fits to the n > 100 grid).
 MAD_BIAS_HAYES = BiasModel("hayes", "mad", (-0.76213, -0.86413))
 MAD_BIAS_WILLIAMS = BiasModel("williams", "mad", (-0.804168866, 1.008922))
@@ -169,7 +147,7 @@ _BIAS_MODELS = {
 def mad_bias(n: int, model: str = "hayes") -> float:
     """Finite-sample bias of the consistent MAD at N(0,1): table value for
     n <= 100, fitted model beyond."""
-    n = _check_n(n)
+    n = _check_n(n, min_n=2)
     if n <= TABLE_N_MAX:
         return load_table("bias_table")[n]["mad_bias"]
     return _BIAS_MODELS[("mad", model)].evaluate(n)
@@ -177,7 +155,7 @@ def mad_bias(n: int, model: str = "hayes") -> float:
 
 def shamos_bias(n: int, model: str = "hayes") -> float:
     """Finite-sample bias of the consistent pairwise scale estimator."""
-    n = _check_n(n)
+    n = _check_n(n, min_n=2)
     if n <= TABLE_N_MAX:
         return load_table("bias_table")[n]["shamos_bias"]
     return _BIAS_MODELS[("shamos", model)].evaluate(n)
@@ -233,7 +211,7 @@ def variance_model_eval(estimator: Estimator | str, n: float) -> float:
 
 def v5(n: int) -> float:
     """Variance of the consistent MAD at N(0,1) for a sample of size n."""
-    n = _check_n(n)
+    n = _check_n(n, min_n=2)
     if n <= TABLE_N_MAX:
         ratio = load_table("nvar_table")[n]["mad_ratio"]
     else:
@@ -243,7 +221,7 @@ def v5(n: int) -> float:
 
 def v6(n: int) -> float:
     """Variance of the consistent pairwise scale estimator at N(0,1)."""
-    n = _check_n(n)
+    n = _check_n(n, min_n=2)
     if n <= TABLE_N_MAX:
         ratio = load_table("nvar_table")[n]["shamos_ratio"]
     else:
@@ -271,7 +249,7 @@ def factor_set(n: int, model: str = "hayes") -> FactorSet:
     bias and variance regression models take over (``model`` selects the
     hayes or williams bias form; variance models are hayes-form only).
     """
-    n = _check_n(n)
+    n = _check_n(n, min_n=2)
     source = "table" if n <= TABLE_N_MAX else f"{model}-model"
     return FactorSet(
         n=n,
@@ -323,7 +301,7 @@ def relative_efficiency(estimator: Estimator | str, n: int) -> float:
         _check_n(n, min_n=1)
         return 1.0
     if est == Estimator.STD:
-        _check_n(n)
+        _check_n(n, min_n=2)
         return 1.0
     n = _check_n(n, min_n=1)
     if n <= TABLE_N_MAX:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._normal import standard_normal
-from .calibration import _block_rng, _block_sizes, _row_estimates, resolve_worker_count
+from .calibration import _Moments, _row_estimates, _run_blocks
 from .estimators import Estimator
 from .estimators import std_dev as _std
 from .factors import c4, c5, c6
@@ -194,21 +193,20 @@ def _three_sigma_estimates(data: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _experiment_block(args) -> tuple[int, dict[tuple[float, str], tuple]]:
-    """Per-block (count, sum, sum of squares) of the three-sigma estimates
-    for every (delta, method) cell."""
-    k, n, mu, sigma, deltas, corrupt_count, master_seed, b, size = args
-    rng = _block_rng(master_seed, k * n, b)
+def _experiment_block(rng: np.random.Generator, size: int, k: int, n: int,
+                      mu: float, sigma: float, deltas: tuple[float, ...],
+                      corrupt_count: int) -> list[_Moments]:
+    """Moments of the three-sigma estimates of one block, for every delta
+    and, within it, every method in EXPERIMENT_METHODS."""
     base = mu + sigma * standard_normal(rng, (size, k, n))
-    out: dict[tuple[float, str], tuple] = {}
+    out = []
     for d in deltas:
         data = base
         if d != 0.0 and corrupt_count:
             data = base.copy()
             data[:, 0, :corrupt_count] += d
-        for method, est in _three_sigma_estimates(data).items():
-            out[(d, method)] = (est.size, float(est.sum()), float((est * est).sum()))
-    return b, out
+        out += [_Moments.of(est) for est in _three_sigma_estimates(data).values()]
+    return out
 
 
 def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
@@ -227,49 +225,31 @@ def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
     (delta, method) with empirical bias, variance, and MSE (bias^2 +
     variance) relative to 3*sigma.
 
-    Deterministic for a fixed seed: replication blocks use the same
-    substream layout as the simulation engine and partial sums are merged in
-    block order, so the worker count never changes the result.
+    Deterministic for a fixed seed: the simulation engine's block runner
+    draws replication block b from the substream ``(master_seed, k*n, b)``
+    and merges the per-block moments in block order, so the worker count
+    never changes the result.
     """
     if replications < 100:
         raise ValueError("need at least 100 replications")
     if not 0 <= corrupt_count <= n:
         raise ValueError(f"corrupt_count must be in 0..{n}")
     deltas = tuple(float(d) for d in delta_grid)
-    workers = resolve_worker_count(worker_count)
-
-    tasks = [(k, n, mu, sigma, deltas, corrupt_count, master_seed, b, size)
-             for b, size in enumerate(_block_sizes(replications))]
-    partials: dict[int, dict] = {}
-    if workers <= 1 or len(tasks) == 1:
-        for t in tasks:
-            b, out = _experiment_block(t)
-            partials[b] = out
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for b, out in pool.map(_experiment_block, tasks):
-                partials[b] = out
-
-    acc = {(d, m): (0, 0.0, 0.0) for d in deltas for m in EXPERIMENT_METHODS}
-    for b in range(len(tasks)):
-        for key, (cnt, s1, s2) in partials[b].items():
-            c0, a1, a2 = acc[key]
-            acc[key] = (c0 + cnt, a1 + s1, a2 + s2)
+    cell = (k * n, (k, n, mu, sigma, deltas, corrupt_count))
+    moments = _run_blocks(_experiment_block, {"experiment": cell}, replications,
+                          master_seed, worker_count)["experiment"]
 
     target = 3.0 * sigma
     rows = []
-    for d in deltas:
-        for method in EXPERIMENT_METHODS:
-            count, s1, s2 = acc[(d, method)]
-            mean = s1 / count
-            var = (s2 - count * mean * mean) / (count - 1)
-            bias = mean - target
-            rows.append({
-                "delta": d,
-                "method": method,
-                "bias": bias,
-                "variance": var,
-                "mse": bias * bias + var,
-                "reps": count,
-            })
+    keys = [(d, method) for d in deltas for method in EXPERIMENT_METHODS]
+    for (d, method), mom in zip(keys, moments):
+        bias = mom.mean - target
+        rows.append({
+            "delta": d,
+            "method": method,
+            "bias": bias,
+            "variance": mom.variance,
+            "mse": bias * bias + mom.variance,
+            "reps": mom.count,
+        })
     return rows

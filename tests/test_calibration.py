@@ -1,10 +1,12 @@
 import csv
 import math
+import os
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from robustfinite import calibration
 from robustfinite._normal import normal_cdf, standard_normal
 from robustfinite.calibration import (
     BLOCK_SIZE,
@@ -16,8 +18,6 @@ from robustfinite.calibration import (
     regenerate_table,
     resolve_worker_count,
     simulate,
-    simulate_bias,
-    simulate_variance,
 )
 from robustfinite.estimators import PAIR_LIMIT
 from robustfinite.factors import c5
@@ -100,27 +100,99 @@ class TestConfigValidation:
         monkeypatch.delenv("ROBUST_FINITE_THREADS")
         assert resolve_worker_count("auto") >= 1
 
+    def test_worker_count_below_one_is_an_error(self, monkeypatch):
+        rule = "must be an integer of at least 1, got"
+        for count in (0, -3, "0", "many"):
+            with pytest.raises(ValueError, match=f"^worker count {rule} {count!r}$"):
+                resolve_worker_count(count)
+        for env in ("0", "-3"):
+            monkeypatch.setenv("ROBUST_FINITE_THREADS", env)
+            with pytest.raises(ValueError, match=f"^ROBUST_FINITE_THREADS {rule} '{env}'$"):
+                resolve_worker_count("auto")
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool opened and maps
+    in this process, so no test starts real workers."""
+
+    opened: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunksize = None
+        _RecordingPool.opened.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, iterable)
+
+
+class TestBlockRunner:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(calibration, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delenv("ROBUST_FINITE_THREADS", raising=False)
+        _RecordingPool.opened = []
+        return _RecordingPool.opened
+
+    def _simulate(self, blocks, workers):
+        cfg = SimulationConfig("mean", (2,), master_seed=0,
+                               replications=blocks * BLOCK_SIZE, worker_count=workers)
+        return simulate(cfg)
+
+    def test_workers_clamped_to_tasks_and_cpus(self, pools):
+        serial = self._simulate(3, 1)
+        assert pools == []
+        assert self._simulate(3, 64) == serial
+        assert self._simulate(10, 64)[0].replications == 10 * BLOCK_SIZE
+        self._simulate(10, 2)
+        self._simulate(10, "auto")
+        assert [p.max_workers for p in pools] == [3, 4, 2, 4]
+
+    def test_every_worker_gets_a_chunk(self, pools):
+        for blocks, workers in ((5, 2), (3, 2), (10, 4), (64, 2)):
+            self._simulate(blocks, workers)
+            pool = pools[-1]
+            assert pool.max_workers == workers
+            assert pool.chunksize <= -(-blocks // workers)
+            assert -(-blocks // pool.chunksize) >= workers
+
+    def test_regenerate_table_opens_one_pool(self, pools):
+        rows = regenerate_table("nvar", [2, 3, 4, 5], master_seed=5,
+                                replications=1000, worker_count=2)
+        assert [r["n"] for r in rows] == [2, 3, 4, 5]
+        assert [p.max_workers for p in pools] == [2]
+        assert rows == regenerate_table("nvar", [2, 3, 4, 5], master_seed=5,
+                                        replications=1000, worker_count=1)
+
 
 class TestAgainstTruth:
     def test_mean_is_unbiased(self):
-        r = simulate_bias(SimulationConfig("mean", (10,), master_seed=11,
-                                           replications=20_000))[0]
+        r = simulate(SimulationConfig("mean", (10,), master_seed=11,
+                                      replications=20_000))[0]
         assert abs(r.bias) < 4 * r.mc_standard_error
         assert r.normalized_variance == pytest.approx(1.0, abs=0.05)
 
     def test_median_is_unbiased(self):
-        r = simulate_bias(SimulationConfig("median", (9,), master_seed=12,
-                                           replications=20_000))[0]
+        r = simulate(SimulationConfig("median", (9,), master_seed=12,
+                                      replications=20_000))[0]
         assert abs(r.bias) < 4 * r.mc_standard_error
 
     def test_mad_pair_matches_analytic_oracle(self):
-        r = simulate_bias(SimulationConfig("mad", (2,), master_seed=13,
-                                           replications=50_000))[0]
+        r = simulate(SimulationConfig("mad", (2,), master_seed=13,
+                                      replications=50_000))[0]
         assert abs(r.mean_estimate - EXPECTED_MAD_2) < 4 * r.mc_standard_error
 
     def test_mad_bias_matches_table(self):
-        r = simulate_bias(SimulationConfig("mad", (5,), master_seed=14,
-                                           replications=50_000))[0]
+        r = simulate(SimulationConfig("mad", (5,), master_seed=14,
+                                      replications=50_000))[0]
         assert abs(r.bias - _reference_bias(5)[0]) < 4 * r.mc_standard_error
 
     def test_unbiased_mad_recovers_sigma(self):
@@ -144,8 +216,8 @@ class TestAgainstTruth:
             2.0, rel=0.2)
 
     def test_simulate_variance_reports_both_forms(self):
-        r = simulate_variance(SimulationConfig("mad", (5,), master_seed=18,
-                                               replications=5000))[0]
+        r = simulate(SimulationConfig("mad", (5,), master_seed=18,
+                                      replications=5000))[0]
         assert r.normalized_variance > r.variance_estimate > 0
 
 

@@ -152,6 +152,18 @@ class TestSimulateAndFit:
         assert code == 1
         assert "ROBUST_FINITE_THREADS" in err and "'two'" in err
 
+    def test_worker_count_below_one_is_data_error(self, capsys, monkeypatch):
+        args = ("--reps", "300", "--seed", "0")
+        for sub in (("simulate", "--estimator", "mean", "--n", "3"), ("spc-demo",)):
+            code, out, err = run_cli(capsys, *sub, *args, "--workers", "0")
+            assert (code, out) == (1, "")
+            assert err == "error: worker count must be an integer of at least 1, got 0\n"
+            monkeypatch.setenv("ROBUST_FINITE_THREADS", "0")
+            code, out, err = run_cli(capsys, *sub, *args)
+            monkeypatch.delenv("ROBUST_FINITE_THREADS")
+            assert (code, out) == (1, "")
+            assert err == "error: ROBUST_FINITE_THREADS must be an integer of at least 1, got '0'\n"
+
     def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "sim.csv"
         outputs = []

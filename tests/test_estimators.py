@@ -127,6 +127,22 @@ def test_select_kth_matches_sorting():
             assert select_kth(x, k) == full[k]
 
 
+def test_signed_zero_order_statistics_ignore_input_order():
+    # -0.0 ranks before +0.0, so the sign of a zero result is fixed
+    rng = np.random.default_rng(3)
+    for negatives, positives in ((5, 5), (6, 5), (5, 6), (1, 1), (64, 63)):
+        x = np.array([-0.0] * negatives + [0.0] * positives)
+        want_median = -0.0 if negatives > x.size // 2 else 0.0
+        for _ in range(50):
+            p = rng.permutation(x)
+            assert median(p).hex() == want_median.hex()
+            for k in range(0, x.size, max(1, x.size // 10)):
+                assert select_kth(p, k).hex() == (-0.0 if k < negatives else 0.0).hex()
+    # a zero next to a nonzero middle value keeps the midpoint rule
+    assert median([-1.0, -0.0, 0.0, 2.0]).hex() == (0.0).hex()
+    assert median([-1.0, -0.0, -0.0, 2.0]).hex() == (-0.0).hex()
+
+
 _LOCATION_FNS = [mean, median, hl2, hl3]
 _LOCATION_FNS_N2 = [hl1]
 

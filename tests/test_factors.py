@@ -15,7 +15,6 @@ from robustfinite.factors import (
     c5,
     c6,
     factor_set,
-    hayes_eval,
     load_table,
     mad_bias,
     normalized_variance,
@@ -27,7 +26,6 @@ from robustfinite.factors import (
     v5,
     v6,
     variance_model_eval,
-    williams_eval,
 )
 
 # independent pre-build oracles (direct gamma-function evaluation)
@@ -101,20 +99,20 @@ class TestBiasModels:
     def test_published_model_columns_to_1e_minus_6(self):
         for row in _read_data_csv("bias_large_table"):
             n = int(row["n"])
-            assert hayes_eval(MAD_BIAS_HAYES, n) == pytest.approx(
+            assert MAD_BIAS_HAYES.evaluate(n) == pytest.approx(
                 float(row["mad_hayes"]), abs=1e-6)
-            assert williams_eval(MAD_BIAS_WILLIAMS, n) == pytest.approx(
+            assert MAD_BIAS_WILLIAMS.evaluate(n) == pytest.approx(
                 float(row["mad_williams"]), abs=1e-6)
-            assert hayes_eval(SHAMOS_BIAS_HAYES, n) == pytest.approx(
+            assert SHAMOS_BIAS_HAYES.evaluate(n) == pytest.approx(
                 float(row["shamos_hayes"]), abs=1e-6)
-            assert williams_eval(SHAMOS_BIAS_WILLIAMS, n) == pytest.approx(
+            assert SHAMOS_BIAS_WILLIAMS.evaluate(n) == pytest.approx(
                 float(row["shamos_williams"]), abs=1e-6)
 
     def test_model_spot_values(self):
-        assert williams_eval(MAD_BIAS_WILLIAMS, 109) == pytest.approx(-0.0070753, abs=1e-6)
-        assert hayes_eval(SHAMOS_BIAS_HAYES, 200) == pytest.approx(
+        assert MAD_BIAS_WILLIAMS.evaluate(109) == pytest.approx(-0.0070753, abs=1e-6)
+        assert SHAMOS_BIAS_HAYES.evaluate(200) == pytest.approx(
             0.414253297 / 200 + 0.442396799 / 200**2, abs=0)
-        assert hayes_eval(SHAMOS_BIAS_HAYES, 200) == pytest.approx(0.0020823, abs=1e-6)
+        assert SHAMOS_BIAS_HAYES.evaluate(200) == pytest.approx(0.0020823, abs=1e-6)
 
     def test_models_vanish_at_infinity(self):
         for model in (MAD_BIAS_HAYES, MAD_BIAS_WILLIAMS,
@@ -123,10 +121,6 @@ class TestBiasModels:
             assert abs(model.evaluate(1e7)) < 1e-6
 
     def test_eval_form_mismatch(self):
-        with pytest.raises(ValueError):
-            hayes_eval(MAD_BIAS_WILLIAMS, 10)
-        with pytest.raises(ValueError):
-            williams_eval(MAD_BIAS_HAYES, 10)
         with pytest.raises(ValueError):
             BiasModel("cubic", "mad", (1.0, 2.0))
 

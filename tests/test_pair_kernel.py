@@ -53,10 +53,15 @@ def samples(rng, n):
 def test_small_n_matches_brute_force(kind):
     rng = np.random.default_rng(2024)
     for n in range(MIN_N[kind], 41):
-        for x in samples(rng, n):
-            want = reference_median(x, kind).hex()
+        xs = list(samples(rng, n))
+        if n == 2:  # every ordered pair of signed zeros and ones
+            xs += [np.array([a, b]) for a in (-1.0, -0.0, 0.0, 1.0)
+                   for b in (-1.0, -0.0, 0.0, 1.0)]
+        wants = [reference_median(x, kind).hex() for x in xs]
+        for x, want in zip(xs, wants):
             assert _pair_medians(x[None, :], kind)[0].hex() == want, (kind, list(x))
             assert SCALAR[kind](x).hex() == want, (kind, list(x))
+        assert [v.hex() for v in _pair_medians(np.array(xs), kind)] == wants, (kind, n)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from robustfinite._normal import standard_normal
+from robustfinite.calibration import BLOCK_SIZE, _block_rng
 from robustfinite.estimators import mad as scalar_mad
 from robustfinite.estimators import shamos as scalar_shamos
 from robustfinite.factors import c4, c5, c6
 from robustfinite.spc import (
     CHART_METHODS,
+    _three_sigma_estimates,
     EXPERIMENT_METHODS,
     ChartLimits,
     SubgroupSeries,
@@ -173,6 +176,26 @@ class TestContaminationExperiment:
         a = contamination_experiment(worker_count=1, **kwargs)
         b = contamination_experiment(worker_count=2, **kwargs)
         assert a == b
+
+    def test_merged_moments_match_one_pass(self):
+        # two blocks, the second one partial
+        k, n, mu, sigma, reps, seed = 4, 5, 5.0, 1.0, 5000, 9
+        assert BLOCK_SIZE < reps < 2 * BLOCK_SIZE
+        rows = contamination_experiment(k=k, n=n, mu=mu, sigma=sigma,
+                                        delta_grid=(0, 20), replications=reps,
+                                        master_seed=seed, worker_count=1)
+        base = np.concatenate([
+            mu + sigma * standard_normal(_block_rng(seed, k * n, b), (size, k, n))
+            for b, size in enumerate((BLOCK_SIZE, reps - BLOCK_SIZE))])
+        for d in (0.0, 20.0):
+            data = base.copy()
+            data[:, 0, :1] += d
+            estimates = _three_sigma_estimates(data)
+            for row in (r for r in rows if r["delta"] == d):
+                est = estimates[row["method"]]
+                assert row["reps"] == reps
+                assert row["bias"] + 3.0 * sigma == pytest.approx(est.mean(), rel=1e-12)
+                assert row["variance"] == pytest.approx(np.var(est, ddof=1), rel=1e-12)
 
     def test_row_schema(self):
         rows = contamination_experiment(k=3, n=4, delta_grid=(0,),
