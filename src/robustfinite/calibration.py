@@ -7,11 +7,18 @@ Reproducibility contract
 One block runner, ``_run_blocks``, serves ``simulate``, ``regenerate_table``
 and ``spc.contamination_experiment``.  Replications are split into
 fixed-size blocks; block b of a cell draws from its own counter-based
-(Philox) substream keyed by ``(master_seed, stream, b)``, where the stream
-is n for the simulator and k*n for the contamination experiment, and the
-per-block ``_Moments`` are merged in block order.  Results are therefore a
-pure function of the experiment and its master seed: bit-identical for any
-worker count, with workers mapped over blocks via one process pool per call.
+(Philox) substream, ``SeedSequence(master_seed, spawn_key=(domain, stream,
+b))``.  The domain tags the experiment: 0 for the estimator simulator (so
+``simulate`` and ``regenerate_table`` share their draws, with stream n) and
+1 for the contamination experiment (stream k*n), so no two experiments
+reuse each other's normals.  Samples are Philox's own ``standard_normal``
+(the ziggurat of Marsaglia & Tsang 2000).  The ziggurat consumes a variable
+number of raw draws per variate, which is harmless here: every block starts
+its own substream, so a block's draw count cannot shift any other block.
+The per-block ``_Moments`` are merged in block order.  Results are
+therefore a pure function of the experiment and its master seed:
+bit-identical for any worker count, with workers mapped over blocks via one
+process pool per call.
 
 Estimates per replication are computed with the same formulas as the scalar
 estimators in :mod:`robustfinite.estimators`, vectorized across rows.  The
@@ -30,8 +37,8 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from ._normal import MAD_SCALE, PAIR_DIFF_SCALE, standard_normal
-from .estimators import _PAIRWISE, Estimator, _check_pair_limit, _pair_medians
+from .estimators import (MAD_SCALE, PAIR_DIFF_SCALE, _PAIRWISE, Estimator,
+                         _check_pair_limit, _pair_medians)
 from .factors import BiasModel, normalized_variance
 
 __all__ = [
@@ -178,17 +185,23 @@ def _block_sizes(replications: int) -> list[int]:
     return sizes
 
 
-def _block_rng(master_seed: int, n: int, block_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(n, block_index))
+# Substream domains: one per experiment, so experiments never share draws.
+_SIMULATOR_DOMAIN = 0
+_CONTAMINATION_DOMAIN = 1
+
+
+def _block_rng(master_seed: int, domain: int, stream: int,
+               block_index: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(master_seed, spawn_key=(domain, stream, block_index))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def _run_block(task) -> list[_Moments]:
-    fn, master_seed, stream, b, size, args = task
-    return fn(_block_rng(master_seed, stream, b), size, *args)
+    fn, master_seed, domain, stream, b, size, args = task
+    return fn(_block_rng(master_seed, domain, stream, b), size, *args)
 
 
-def _run_blocks(fn: Callable[..., list[_Moments]],
+def _run_blocks(fn: Callable[..., list[_Moments]], domain: int,
                 cells: dict[Hashable, tuple[int, tuple]], replications: int,
                 master_seed: int, worker_count: int | str | None
                 ) -> dict[Hashable, list[_Moments]]:
@@ -196,13 +209,16 @@ def _run_blocks(fn: Callable[..., list[_Moments]],
     moments in block order.
 
     ``cells`` maps a key to ``(stream, args)``; block b of the cell calls
-    ``fn(rng, size, *args)`` with the substream ``(master_seed, stream, b)``
-    and returns one ``_Moments`` per statistic.  ``fn`` must be a
-    module-level function, so pool workers can unpickle it.  The call opens
-    at most one process pool, of min(requested, blocks, CPUs) workers.
+    ``fn(rng, size, *args)`` with the substream ``(master_seed, domain,
+    stream, b)`` and returns one ``_Moments`` per statistic.  ``fn`` must be
+    a module-level function, so pool workers can unpickle it.  The call
+    opens at most one process pool, of min(requested, blocks, CPUs) workers.
     """
+    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+        raise ValueError(f"master_seed must be a non-negative integer, "
+                         f"got {master_seed!r}")
     sizes = _block_sizes(replications)
-    tasks = [(fn, master_seed, stream, b, size, args)
+    tasks = [(fn, master_seed, domain, stream, b, size, args)
              for stream, args in cells.values() for b, size in enumerate(sizes)]
     workers = min(resolve_worker_count(worker_count), len(tasks), os.cpu_count() or 1)
     if workers <= 1:
@@ -225,7 +241,7 @@ def _run_blocks(fn: Callable[..., list[_Moments]],
 
 def _estimator_block(rng: np.random.Generator, size: int, n: int,
                      estimators: tuple[Estimator, ...]) -> list[_Moments]:
-    sample = standard_normal(rng, (size, n))
+    sample = rng.standard_normal((size, n))
     return [_Moments.of(_row_estimates(e, sample)) for e in estimators]
 
 
@@ -280,7 +296,7 @@ def _truth(estimator: Estimator) -> float:
 def simulate(config: SimulationConfig) -> list[SimulationResult]:
     """Run the Monte Carlo experiment described by ``config``."""
     est = Estimator(config.estimator)
-    merged = _run_blocks(_estimator_block,
+    merged = _run_blocks(_estimator_block, _SIMULATOR_DOMAIN,
                          {n: (n, (n, (est,))) for n in config.n_values},
                          config.replications, config.master_seed,
                          config.worker_count)
@@ -425,7 +441,7 @@ def regenerate_table(table_id: str, n_values: Iterable[int], master_seed: int,
     baselines = (Estimator.MEAN, Estimator.STD) if table_id == "re" else ()
     batches = {n: tuple(e for e in columns + baselines if n >= e.min_n)
                for n in n_values}
-    merged = _run_blocks(_estimator_block,
+    merged = _run_blocks(_estimator_block, _SIMULATOR_DOMAIN,
                          {n: (n, (n, batch)) for n, batch in batches.items()},
                          replications, master_seed, worker_count)
 

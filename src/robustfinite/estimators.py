@@ -33,8 +33,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ._normal import MAD_SCALE, PAIR_DIFF_SCALE
-
 __all__ = [
     "Estimator",
     "mean",
@@ -97,6 +95,13 @@ class Estimator(str, enum.Enum):
         return 1
 
 
+# Third quartile of N(0,1), the double nearest Phi^-1(0.75); the scale
+# constants make the MAD and the median of pairwise absolute differences
+# consistent for sigma at the normal.
+NORMAL_Q3 = 0.6744897501960817
+MAD_SCALE = 1.0 / NORMAL_Q3                             # ~1.4826
+PAIR_DIFF_SCALE = 1.0 / (math.sqrt(2.0) * NORMAL_Q3)    # ~1.048358
+
 # Estimators whose value is a median over pairs of observations.
 _PAIRWISE = (Estimator.SHAMOS, Estimator.HL1, Estimator.HL2, Estimator.HL3)
 
@@ -105,7 +110,7 @@ def _as_sample(values: Iterable[float], min_n: int = 1) -> np.ndarray:
     """Validate and convert input to a finite 1-d float array."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
-        arr = arr.reshape(-1)
+        raise ValueError(f"sample must be 1-d, got an array of shape {arr.shape}")
     if arr.size < min_n:
         raise ValueError(f"sample of size {arr.size} given; need at least {min_n}")
     if not np.isfinite(arr).all():

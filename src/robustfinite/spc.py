@@ -18,8 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._normal import standard_normal
-from .calibration import _Moments, _row_estimates, _run_blocks
+from .calibration import _CONTAMINATION_DOMAIN, _Moments, _row_estimates, _run_blocks
 from .estimators import Estimator
 from .estimators import std_dev as _std
 from .factors import c4, c5, c6
@@ -198,7 +197,7 @@ def _experiment_block(rng: np.random.Generator, size: int, k: int, n: int,
                       corrupt_count: int) -> list[_Moments]:
     """Moments of the three-sigma estimates of one block, for every delta
     and, within it, every method in EXPERIMENT_METHODS."""
-    base = mu + sigma * standard_normal(rng, (size, k, n))
+    base = mu + sigma * rng.standard_normal((size, k, n))
     out = []
     for d in deltas:
         data = base
@@ -226,18 +225,23 @@ def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
     variance) relative to 3*sigma.
 
     Deterministic for a fixed seed: the simulation engine's block runner
-    draws replication block b from the substream ``(master_seed, k*n, b)``
-    and merges the per-block moments in block order, so the worker count
-    never changes the result.
+    draws replication block b from the substream ``(master_seed, 1, k*n,
+    b)`` (domain 1 is this experiment's) and merges the per-block moments
+    in block order, so the worker count never changes the result.
     """
+    if k < 1:
+        raise ValueError(f"k (subgroups) must be at least 1, got {k}")
+    if n < 2:
+        raise ValueError(f"n (subgroup size) must be at least 2, got {n}")
     if replications < 100:
         raise ValueError("need at least 100 replications")
     if not 0 <= corrupt_count <= n:
         raise ValueError(f"corrupt_count must be in 0..{n}")
     deltas = tuple(float(d) for d in delta_grid)
     cell = (k * n, (k, n, mu, sigma, deltas, corrupt_count))
-    moments = _run_blocks(_experiment_block, {"experiment": cell}, replications,
-                          master_seed, worker_count)["experiment"]
+    moments = _run_blocks(_experiment_block, _CONTAMINATION_DOMAIN,
+                          {"experiment": cell}, replications, master_seed,
+                          worker_count)["experiment"]
 
     target = 3.0 * sigma
     rows = []

@@ -6,8 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from robustfinite import calibration
-from robustfinite._normal import normal_cdf, standard_normal
+from robustfinite import calibration, spc
 from robustfinite.calibration import (
     BLOCK_SIZE,
     FitInput,
@@ -55,9 +54,29 @@ class TestDeterminism:
         assert simulate(base) == simulate(multi)
 
     def test_blocks_are_independent_substreams(self):
-        a = standard_normal(_block_rng(1, 5, 0), (4, 5))
-        b = standard_normal(_block_rng(1, 5, 1), (4, 5))
+        a = _block_rng(1, 0, 5, 0).standard_normal((4, 5))
+        b = _block_rng(1, 0, 5, 1).standard_normal((4, 5))
         assert not np.allclose(a, b)
+
+    def test_experiments_draw_from_separate_domains(self, monkeypatch):
+        # simulate at n = 50 and the contamination experiment at k*n = 10*5
+        # share the seed and the stream number; their first blocks must not
+        # share draws
+        first = {}
+
+        def recorder(name, statistics):
+            def block(rng, size, *args):
+                first.setdefault(name, rng.random(8))
+                return [calibration._Moments.of(np.zeros(size))] * statistics
+            return block
+
+        monkeypatch.setattr(calibration, "_estimator_block", recorder("simulate", 1))
+        monkeypatch.setattr(spc, "_experiment_block", recorder("spc", 6))
+        simulate(SimulationConfig("mean", (50,), master_seed=7, replications=100,
+                                  worker_count=1))
+        spc.contamination_experiment(k=10, n=5, delta_grid=(0,), replications=100,
+                                     master_seed=7, worker_count=1)
+        assert not np.array_equal(first["simulate"], first["spc"])
 
     def test_replication_count_honored(self):
         for reps in (100, BLOCK_SIZE, BLOCK_SIZE + 17, 3 * BLOCK_SIZE):
@@ -77,6 +96,19 @@ class TestConfigValidation:
     def test_minimum_replications(self):
         with pytest.raises(ValueError):
             SimulationConfig("mean", (3,), master_seed=0, replications=99)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_master_seed_must_be_non_negative_integer(self, seed):
+        runs = (
+            lambda: simulate(SimulationConfig("mean", (3,), master_seed=seed,
+                                              replications=100, worker_count=1)),
+            lambda: regenerate_table("bias", (3,), seed, 100, worker_count=1),
+            lambda: spc.contamination_experiment(replications=100, master_seed=seed,
+                                                 worker_count=1),
+        )
+        for run in runs:
+            with pytest.raises(ValueError, match=rf"master_seed .* got {seed!r}"):
+                run()
 
     def test_pairwise_size_guard(self):
         # building the config allocates nothing, so the limit is cheap to test
@@ -245,12 +277,13 @@ def test_rowwise_estimates_match_scalar_estimators():
 
 
 def test_normal_generator_quality():
-    draws = standard_normal(_block_rng(2024, 1, 0), 1_000_000).ravel()
+    draws = _block_rng(2024, 0, 1, 0).standard_normal(1_000_000)
     n = draws.size
     assert abs(draws.mean()) < 4.0 / math.sqrt(n)
     assert abs(draws.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
     # one-sample Kolmogorov-Smirnov against the normal CDF, 1% critical value
-    sorted_u = normal_cdf(np.sort(draws))
+    sorted_u = np.array([0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+                         for x in np.sort(draws)])
     grid = np.arange(1, n + 1) / n
     ks = max(np.max(grid - sorted_u), np.max(sorted_u - (grid - 1.0 / n)))
     assert ks < 1.628 / math.sqrt(n)

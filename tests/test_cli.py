@@ -1,5 +1,9 @@
 import csv
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +168,13 @@ class TestSimulateAndFit:
             assert (code, out) == (1, "")
             assert err == "error: ROBUST_FINITE_THREADS must be an integer of at least 1, got '0'\n"
 
+    def test_negative_seed_is_data_error(self, capsys):
+        for sub in (("simulate", "--estimator", "mean", "--n", "3"), ("spc-demo",)):
+            code, out, err = run_cli(capsys, *sub, "--reps", "300", "--seed", "-1")
+            assert (code, out) == (1, "")
+            assert err == ("error: master_seed must be a non-negative integer, "
+                           "got -1\n")
+
     def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "sim.csv"
         outputs = []
@@ -211,6 +222,13 @@ class TestSpcDemo:
             main(["spc-demo", "--reps", "300"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--n", "1")])
+    def test_too_few_subgroups_or_observations_is_data_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "spc-demo", flag, value, "--reps", "300",
+                                 "--seed", "7")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag[2:]} (") and err.endswith(f"got {value}\n")
+
 
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
@@ -222,3 +240,13 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, robustfinite, robustfinite.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=pythonpath), timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr

@@ -106,6 +106,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="size limit"):
             shamos(big)
 
+    def test_two_dimensional_input_rejected(self):
+        fns = (mean, median, hl1, hl2, hl3, mad, shamos, std_dev,
+               lambda x: hodges_lehmann(x, "hl2"), lambda x: select_kth(x, 0))
+        for fn in fns:
+            for bad in (np.ones((3, 4)), [[1, 2], [3, 4]]):
+                with pytest.raises(ValueError, match=r"1-d.*shape \(\d, \d\)"):
+                    fn(bad)
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             hodges_lehmann([1, 2], "hl4")

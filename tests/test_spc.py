@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from robustfinite._normal import standard_normal
 from robustfinite.calibration import BLOCK_SIZE, _block_rng
 from robustfinite.estimators import mad as scalar_mad
 from robustfinite.estimators import shamos as scalar_shamos
@@ -185,7 +184,8 @@ class TestContaminationExperiment:
                                         delta_grid=(0, 20), replications=reps,
                                         master_seed=seed, worker_count=1)
         base = np.concatenate([
-            mu + sigma * standard_normal(_block_rng(seed, k * n, b), (size, k, n))
+            # domain 1: the contamination experiment's substreams
+            mu + sigma * _block_rng(seed, 1, k * n, b).standard_normal((size, k, n))
             for b, size in enumerate((BLOCK_SIZE, reps - BLOCK_SIZE))])
         for d in (0.0, 20.0):
             data = base.copy()
@@ -196,6 +196,12 @@ class TestContaminationExperiment:
                 assert row["reps"] == reps
                 assert row["bias"] + 3.0 * sigma == pytest.approx(est.mean(), rel=1e-12)
                 assert row["variance"] == pytest.approx(np.var(est, ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize("name, value", [("k", 0), ("k", -2), ("n", 1), ("n", 0)])
+    def test_too_few_subgroups_or_observations(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} \(.* got {value}$"):
+            contamination_experiment(replications=100, master_seed=0,
+                                     worker_count=1, **{name: value})
 
     def test_row_schema(self):
         rows = contamination_experiment(k=3, n=4, delta_grid=(0,),
