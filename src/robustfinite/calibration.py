@@ -427,10 +427,12 @@ def regenerate_table(table_id: str, n_values: Iterable[int], master_seed: int,
 
     Returns one dict per n with the table's column layout plus an
     ``<estimator>_se`` Monte Carlo standard error per estimate; cells where
-    an estimator is undefined (n below its minimum) are NaN.  For "re" each
-    estimator's variance is compared against its baseline (mean for
-    location, standard deviation for scale) simulated on the same draws, so
-    degenerate equalities (median = mean at n = 1, 2) are exact.
+    an estimator is undefined (n below its minimum) are NaN.  Every n must
+    be at least 1, and the pairwise columns keep the simulator's size
+    limit.  For "re" each estimator's variance is compared against its
+    baseline (mean for location, standard deviation for scale) simulated on
+    the same draws, so degenerate equalities (median = mean at n = 1, 2) are
+    exact.
     """
     if table_id not in _TABLE_COLUMNS:
         raise ValueError(f"unknown table id {table_id!r}")
@@ -441,6 +443,12 @@ def regenerate_table(table_id: str, n_values: Iterable[int], master_seed: int,
     baselines = (Estimator.MEAN, Estimator.STD) if table_id == "re" else ()
     batches = {n: tuple(e for e in columns + baselines if n >= e.min_n)
                for n in n_values}
+    for n, batch in batches.items():
+        if n < 1:
+            raise ValueError(f"n (sample size) must be at least 1, got {n}")
+        for e in batch:
+            if e in _PAIRWISE:
+                _check_pair_limit(e.value, n)
     merged = _run_blocks(_estimator_block, _SIMULATOR_DOMAIN,
                          {n: (n, (n, batch)) for n, batch in batches.items()},
                          replications, master_seed, worker_count)

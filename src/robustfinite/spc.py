@@ -7,6 +7,9 @@ c6 for the subgroup pairwise-difference scale.  The robust variants keep
 working when the data used to set the limits is contaminated;
 ``contamination_experiment`` measures exactly that by corrupting one
 observation and tracking bias/variance/MSE of the three-sigma estimate.
+A shift moves only the corrupted subgroup, so each replication block
+computes the clean subgroups' scales once and recomputes only that
+subgroup for every delta.
 """
 
 from __future__ import annotations
@@ -174,14 +177,24 @@ def read_subgroups(path) -> SubgroupSeries:
 # contamination experiment
 
 
-def _three_sigma_estimates(data: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-replication three-sigma estimates for a (reps, k, n) array,
-    one entry per method in EXPERIMENT_METHODS."""
+def _subgroup_scales(data: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Std, MAD and Shamos scale of every subgroup of a (reps, k, n) array,
+    each as a (reps, k) array.  Each subgroup's scales depend on its own
+    n values only."""
     reps, k, n = data.shape
-    s_bar = data.std(axis=2, ddof=1).mean(axis=1)
     rows = data.reshape(-1, n)
-    mad_bar = _row_estimates(Estimator.MAD, rows).reshape(reps, k).mean(axis=1)
-    sh_bar = _row_estimates(Estimator.SHAMOS, rows).reshape(reps, k).mean(axis=1)
+    return (data.std(axis=2, ddof=1),
+            _row_estimates(Estimator.MAD, rows).reshape(reps, k),
+            _row_estimates(Estimator.SHAMOS, rows).reshape(reps, k))
+
+
+def _estimates_from_scales(n: int, std: np.ndarray, mad: np.ndarray,
+                           shamos: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-replication three-sigma estimates from (reps, k) subgroup scales,
+    one entry per method in EXPERIMENT_METHODS."""
+    s_bar = std.mean(axis=1)
+    mad_bar = mad.mean(axis=1)
+    sh_bar = shamos.mean(axis=1)
     return {
         "std": 3.0 * s_bar,
         "unbiased-std": 3.0 * s_bar / c4(n),
@@ -192,19 +205,32 @@ def _three_sigma_estimates(data: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
+def _three_sigma_estimates(data: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-replication three-sigma estimates for a (reps, k, n) array,
+    computed from scratch."""
+    return _estimates_from_scales(data.shape[2], *_subgroup_scales(data))
+
+
 def _experiment_block(rng: np.random.Generator, size: int, k: int, n: int,
                       mu: float, sigma: float, deltas: tuple[float, ...],
                       corrupt_count: int) -> list[_Moments]:
     """Moments of the three-sigma estimates of one block, for every delta
-    and, within it, every method in EXPERIMENT_METHODS."""
+    and, within it, every method in EXPERIMENT_METHODS.
+
+    A shift moves subgroup 1 only, so the clean block's scales are computed
+    once and each nonzero delta recomputes column 0 alone."""
     base = mu + sigma * rng.standard_normal((size, k, n))
+    clean = _subgroup_scales(base)
     out = []
     for d in deltas:
-        data = base
+        scales = clean
         if d != 0.0 and corrupt_count:
-            data = base.copy()
-            data[:, 0, :corrupt_count] += d
-        out += [_Moments.of(est) for est in _three_sigma_estimates(data).values()]
+            first = base[:, :1].copy()
+            first[:, 0, :corrupt_count] += d
+            scales = tuple(s.copy() for s in clean)
+            for s, column in zip(scales, _subgroup_scales(first)):
+                s[:, :1] = column
+        out += [_Moments.of(est) for est in _estimates_from_scales(n, *scales).values()]
     return out
 
 
@@ -222,7 +248,13 @@ def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
     subgroup 1 are shifted by delta before any statistic is computed, and the
     six estimates of 3*sigma are recorded.  Returns one row per
     (delta, method) with empirical bias, variance, and MSE (bias^2 +
-    variance) relative to 3*sigma.
+    variance) relative to 3*sigma.  ``mu``, ``sigma`` and every delta must
+    be finite, ``sigma`` positive, and ``delta_grid`` non-empty.
+
+    The std, MAD and Shamos scales of all k subgroups are computed once per
+    replication block; each nonzero delta recomputes only the corrupted
+    subgroup 1.  Every scale of a subgroup depends on that subgroup alone,
+    so the result is the same as recomputing all k subgroups per delta.
 
     Deterministic for a fixed seed: the simulation engine's block runner
     draws replication block b from the substream ``(master_seed, 1, k*n,
@@ -236,8 +268,18 @@ def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
     if replications < 100:
         raise ValueError("need at least 100 replications")
     if not 0 <= corrupt_count <= n:
-        raise ValueError(f"corrupt_count must be in 0..{n}")
+        raise ValueError(f"corrupt_count must be in 0..{n}, got {corrupt_count}")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu (process mean) must be finite, got {mu}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma (process standard deviation) must be finite "
+                         f"and positive, got {sigma}")
     deltas = tuple(float(d) for d in delta_grid)
+    if not deltas:
+        raise ValueError("delta_grid must hold at least one shift, got none")
+    for d in deltas:
+        if not math.isfinite(d):
+            raise ValueError(f"delta_grid shifts must be finite, got {d}")
     cell = (k * n, (k, n, mu, sigma, deltas, corrupt_count))
     moments = _run_blocks(_experiment_block, _CONTAMINATION_DOMAIN,
                           {"experiment": cell}, replications, master_seed,

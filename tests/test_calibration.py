@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from robustfinite import calibration, spc
+from robustfinite import calibration, estimators, spc
 from robustfinite.calibration import (
     BLOCK_SIZE,
     FitInput,
@@ -411,3 +411,22 @@ class TestRegenerateTable:
     def test_unknown_table(self):
         with pytest.raises(ValueError):
             regenerate_table("bogus", [2], master_seed=0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_size_below_one(self, n):
+        with pytest.raises(ValueError, match=rf"^n \(sample size\) .* got {n}$"):
+            regenerate_table("re", [2, n], master_seed=0, replications=100,
+                             worker_count=1)
+
+    def test_pairwise_size_guard(self, monkeypatch):
+        # a small limit keeps the test cheap; the error is SimulationConfig's
+        monkeypatch.setattr(estimators, "PAIR_LIMIT", 6)
+        for table, est in (("bias", "shamos"), ("nvar", "hl1"), ("re", "hl1")):
+            with pytest.raises(ValueError, match=rf"^size limit: .*{est}.* got n=7$"):
+                regenerate_table(table, [3, 7], master_seed=0, replications=100,
+                                 worker_count=1)
+            with pytest.raises(ValueError, match=rf"^size limit: .*{est}.* got n=7$"):
+                SimulationConfig(est, (7,), master_seed=0)
+        rows = regenerate_table("bias", [6], master_seed=0, replications=100,
+                                worker_count=1)  # at the limit: fine
+        assert math.isfinite(rows[0]["shamos"])

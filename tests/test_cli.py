@@ -229,6 +229,14 @@ class TestSpcDemo:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {flag[2:]} (") and err.endswith(f"got {value}\n")
 
+    @pytest.mark.parametrize("flag, value, name, got", [
+        ("--sigma", "-1", "sigma", "-1.0"), ("--delta", "0,nan", "delta_grid", "nan")])
+    def test_invalid_process_or_shift_is_data_error(self, capsys, flag, value, name, got):
+        code, out, err = run_cli(capsys, "spc-demo", flag, value, "--reps", "300",
+                                 "--seed", "7")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {name} ") and err.endswith(f"got {got}\n")
+
 
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from robustfinite.calibration import BLOCK_SIZE, _block_rng
+from robustfinite import spc
+from robustfinite.calibration import BLOCK_SIZE, _block_rng, _Moments
 from robustfinite.estimators import mad as scalar_mad
 from robustfinite.estimators import shamos as scalar_shamos
 from robustfinite.factors import c4, c5, c6
 from robustfinite.spc import (
     CHART_METHODS,
+    _experiment_block,
     _three_sigma_estimates,
     EXPERIMENT_METHODS,
     ChartLimits,
@@ -197,6 +199,40 @@ class TestContaminationExperiment:
                 assert row["bias"] + 3.0 * sigma == pytest.approx(est.mean(), rel=1e-12)
                 assert row["variance"] == pytest.approx(np.var(est, ddof=1), rel=1e-12)
 
+    @pytest.mark.parametrize("k, n, corrupt_count, size", [
+        (1, 2, 1, 300), (1, 2, 2, 257), (4, 7, 0, 1000), (3, 5, 5, 999),
+        (10, 5, 1, BLOCK_SIZE)])
+    def test_block_matches_full_recompute(self, k, n, corrupt_count, size):
+        # each delta's moments equal those of the six estimates computed from
+        # scratch on a fully corrupted copy of the block's draws
+        mu, sigma, seed = 5.0, 1.5, 11
+        deltas = (0.0, -4.5, -0.0, 20.0, 20.0, 0.25)
+        moments = _experiment_block(_block_rng(seed, 1, k * n, 0), size, k, n,
+                                    mu, sigma, deltas, corrupt_count)
+        base = mu + sigma * _block_rng(seed, 1, k * n, 0).standard_normal((size, k, n))
+        m = len(EXPERIMENT_METHODS)
+        assert len(moments) == m * len(deltas)
+        for i, d in enumerate(deltas):
+            data = base.copy()
+            data[:, 0, :corrupt_count] += d
+            expected = [_Moments.of(e) for e in _three_sigma_estimates(data).values()]
+            assert moments[i * m:(i + 1) * m] == expected
+
+    def test_block_recomputes_only_the_corrupted_subgroup(self, monkeypatch):
+        original = spc._row_estimates
+        rows = []
+
+        def counting(estimator, block):
+            rows.append(block.shape[0])
+            return original(estimator, block)
+
+        monkeypatch.setattr(spc, "_row_estimates", counting)
+        size, k, n = 300, 10, 5
+        _experiment_block(_block_rng(1, 1, k * n, 0), size, k, n, 5.0, 1.0,
+                          (0.0, 10.0, -0.0, 20.0), 1)
+        # MAD and Shamos: size*k clean rows once, then size rows per nonzero delta
+        assert rows == [size * k] * 2 + [size] * 4
+
     @pytest.mark.parametrize("name, value", [("k", 0), ("k", -2), ("n", 1), ("n", 0)])
     def test_too_few_subgroups_or_observations(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} \(.* got {value}$"):
@@ -241,6 +277,24 @@ class TestContaminationExperiment:
             by_delta.setdefault(r["method"], {})[r["delta"]] = r["bias"]
         for method, values in by_delta.items():
             assert values[0.0] == values[40.0]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(sigma=-1.0), r"^sigma \(.* got -1.0$"),
+        (dict(sigma=0.0), r"^sigma \(.* got 0.0$"),
+        (dict(sigma=math.inf), r"^sigma \(.* got inf$"),
+        (dict(sigma=math.nan), r"^sigma \(.* got nan$"),
+        (dict(mu=math.inf), r"^mu \(.* got inf$"),
+        (dict(mu=-math.nan), r"^mu \(.* got nan$"),
+        (dict(delta_grid=(0, math.nan)), r"^delta_grid .* got nan$"),
+        (dict(delta_grid=(10, -math.inf)), r"^delta_grid .* got -inf$"),
+        (dict(delta_grid=()), r"^delta_grid .* got none$"),
+        (dict(corrupt_count=6), r"^corrupt_count .* got 6$"),
+        (dict(corrupt_count=-1), r"^corrupt_count .* got -1$"),
+    ])
+    def test_invalid_input_is_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            contamination_experiment(n=5, replications=100, master_seed=0,
+                                     worker_count=1, **kwargs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
