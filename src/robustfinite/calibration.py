@@ -20,11 +20,11 @@ therefore a pure function of the experiment and its master seed:
 bit-identical for any worker count, with workers mapped over blocks via one
 process pool per call.
 
-Estimates per replication are computed with the same formulas as the scalar
-estimators in :mod:`robustfinite.estimators`, vectorized across rows.  The
-pairwise estimators (shamos, hl1, hl2, hl3) call the one chunked kernel that
-the scalar API and the control charts share: it holds all O(n^2) pairs of a
-row, but never more than one buffer of about 2 MB per chunk of rows.
+Estimates per replication come from ``estimators._row_estimates``, which
+calls the median kernel that the scalar API and the control charts share
+for the six order-statistic estimators: it holds all O(n^2) pairs of a row
+for the pairwise ones, but no more than one buffer of about 2 MB per chunk
+of rows.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from .estimators import (MAD_SCALE, PAIR_DIFF_SCALE, _PAIRWISE, Estimator,
-                         _check_pair_limit, _pair_medians)
+from .estimators import _PAIRWISE, Estimator, _check_pair_limit, _row_estimates
 from .factors import BiasModel, normalized_variance
 
 __all__ = [
@@ -146,25 +145,15 @@ class _Moments:
 
 
 # ---------------------------------------------------------------------------
-# vectorized per-replication estimates
+# input checks
 
 
-def _row_estimates(estimator: Estimator, block: np.ndarray) -> np.ndarray:
-    """Estimator value for each row of a (rows, n) sample block."""
-    if estimator == Estimator.MEAN:
-        return block.mean(axis=1)
-    if estimator == Estimator.MEDIAN:
-        return np.median(block, axis=1)
-    if estimator == Estimator.STD:
-        return block.std(axis=1, ddof=1)
-    if estimator == Estimator.MAD:
-        mid = np.median(block, axis=1, keepdims=True)
-        return np.median(np.abs(block - mid), axis=1) * MAD_SCALE
-    if estimator == Estimator.SHAMOS:
-        return _pair_medians(block, "shamos") * PAIR_DIFF_SCALE
-    if estimator in _PAIRWISE:  # hl1, hl2, hl3
-        return _pair_medians(block, estimator.value)
-    raise ValueError(f"unsupported estimator {estimator}")
+def _check_int(name: str, value) -> int:
+    """``value`` as an int; anything but an integer is a ``ValueError`` that
+    names the input, where ``int()`` would truncate a float silently."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _validate_estimator_n(estimator: Estimator, n: int) -> None:
@@ -217,6 +206,7 @@ def _run_blocks(fn: Callable[..., list[_Moments]], domain: int,
     if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
         raise ValueError(f"master_seed must be a non-negative integer, "
                          f"got {master_seed!r}")
+    _check_int("replications", replications)
     sizes = _block_sizes(replications)
     tasks = [(fn, master_seed, domain, stream, b, size, args)
              for stream, args in cells.values() for b, size in enumerate(sizes)]
@@ -265,7 +255,8 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimator", Estimator(self.estimator))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", tuple(_check_int("n (sample size)", n)
+                                                  for n in self.n_values))
         if self.replications < 100:
             raise ValueError("need at least 100 replications")
         for n in self.n_values:
@@ -428,18 +419,18 @@ def regenerate_table(table_id: str, n_values: Iterable[int], master_seed: int,
     Returns one dict per n with the table's column layout plus an
     ``<estimator>_se`` Monte Carlo standard error per estimate; cells where
     an estimator is undefined (n below its minimum) are NaN.  Every n must
-    be at least 1, and the pairwise columns keep the simulator's size
-    limit.  For "re" each estimator's variance is compared against its
-    baseline (mean for location, standard deviation for scale) simulated on
-    the same draws, so degenerate equalities (median = mean at n = 1, 2) are
-    exact.
+    be an integer of at least 1, and the pairwise columns keep the
+    simulator's size limit.  For "re" each estimator's variance is compared
+    against its baseline (mean for location, standard deviation for scale)
+    simulated on the same draws, so degenerate equalities (median = mean at
+    n = 1, 2) are exact.
     """
     if table_id not in _TABLE_COLUMNS:
         raise ValueError(f"unknown table id {table_id!r}")
     if replications < 100:
         raise ValueError("need at least 100 replications")
     columns = _TABLE_COLUMNS[table_id]
-    n_values = [int(n) for n in n_values]
+    n_values = [_check_int("n (sample size)", n) for n in n_values]
     baselines = (Estimator.MEAN, Estimator.STD) if table_id == "re" else ()
     batches = {n: tuple(e for e in columns + baselines if n >= e.min_n)
                for n in n_values}

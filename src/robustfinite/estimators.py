@@ -16,12 +16,12 @@ enter the pairwise-average multiset:
 Scale estimators accept ``consistent=True`` (default) to apply the constant
 that makes them consistent for sigma under a normal population.
 
-The four pairwise estimators (shamos, hl1, hl2, hl3) share one kernel,
-``_pair_medians``, over the rows of a 2-d array.  The scalar functions here
-are 1-row calls of it, and the simulator (``calibration``) and the control
-charts (``spc``) call it on whole blocks.  It forms the pairs of a chunk of
-rows at a time in one reused buffer of about 2 MB and selects the medians
-there in place: memory is O(n^2) for one row, but bounded per chunk of rows.
+The six order-statistic estimators (median, mad, shamos, hl1, hl2, hl3)
+share one median kernel, ``_row_medians``, over the rows of a 2-d array:
+the scalar functions are 1-row calls of it, and the simulator and the
+control charts call it on blocks through ``_row_estimates``.  It selects in
+one reused buffer of about 2 MB per chunk of rows: O(n) memory per row for
+the median and the MAD, O(n^2) for the pairwise estimators.
 """
 
 from __future__ import annotations
@@ -54,13 +54,13 @@ __all__ = [
 # unreasonable and callers get an explicit size-limit error.
 PAIR_LIMIT = 10_000
 
-# Pair values per chunk buffer: 2 MB of doubles, small enough to stay in cache
-# while a chunk of rows is built and partitioned.
+# Values (pairs, for the pairwise estimators) per chunk buffer: 2 MB of
+# doubles, small enough to stay in cache while a chunk is built and selected.
 _BUFFER_PAIRS = 1 << 18
 
-# Up to this many pairs, one row's two middle values are selected together;
-# above it, the upper one alone and the lower one as the max of the left part.
-_SHORT_ROW_PAIRS = 128
+# Up to this many values, one row is sorted; longer rows and blocks select
+# the upper middle value and take the lower one as the max of the left part.
+_SHORT_ROW = 128
 
 
 class Estimator(str, enum.Enum):
@@ -113,7 +113,7 @@ def _as_sample(values: Iterable[float], min_n: int = 1) -> np.ndarray:
         raise ValueError(f"sample must be 1-d, got an array of shape {arr.shape}")
     if arr.size < min_n:
         raise ValueError(f"sample of size {arr.size} given; need at least {min_n}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise ValueError("sample contains NaN or infinite values")
     return arr
 
@@ -141,17 +141,6 @@ def _zero_at_rank(values: np.ndarray, k: int) -> float:
     return -0.0 if k < below else 0.0
 
 
-def _median_of(arr: np.ndarray) -> float:
-    """Median of an array that is already validated: midpoint rule for even sizes."""
-    m = arr.size
-    half = np.partition(arr, [(m - 1) // 2, m // 2])
-    lo, hi = half[(m - 1) // 2], half[m // 2]
-    if lo == hi == 0:
-        # the midpoint of two zeros is -0.0 only if the upper one is
-        return _zero_at_rank(arr, m // 2)
-    return float(0.5 * (lo + hi))
-
-
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean (exactly-rounded sum, so permutation invariant)."""
     arr = _as_sample(values)
@@ -161,7 +150,7 @@ def mean(values: Iterable[float]) -> float:
 def median(values: Iterable[float]) -> float:
     """Sample median: middle order statistic, or the average of the two
     middle order statistics when the size is even."""
-    return _median_of(_as_sample(values))
+    return _row_medians(_as_sample(values)[None, :], "median").item()
 
 
 def _check_pair_limit(name: str, n: int) -> None:
@@ -182,11 +171,15 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fill_pairs(rows: np.ndarray, kind: str, out: np.ndarray) -> None:
-    """Write the pair values of each row into the same row of ``out``:
-    ``S[j] - S[i]`` (i < j) of sorted rows for shamos, and for the
-    Hodges-Lehmann variants the pair sums ``x_i + x_j`` (i < j for hl1,
-    then the diagonal for hl2, every ordered pair for hl3), not yet halved.
+    """Write the values whose median is taken of each row into the same row
+    of ``out``: the row itself for median and mad, ``S[j] - S[i]`` (i < j)
+    of sorted rows for shamos, and for the Hodges-Lehmann variants the pair
+    sums ``x_i + x_j`` (i < j for hl1, then the diagonal for hl2, every
+    ordered pair for hl3), not yet halved.
     """
+    if kind in ("median", "mad"):
+        out[...] = rows
+        return
     r, n = rows.shape
     m = out.shape[1]
     if kind == "hl3":
@@ -207,77 +200,105 @@ def _fill_pairs(rows: np.ndarray, kind: str, out: np.ndarray) -> None:
             np.add(rows, rows, out=out[:, at:])
 
 
-def _pair_medians(block: np.ndarray, kind: str) -> np.ndarray:
-    """Median of the pair values of each row of a (rows, n) float array.
-
-    ``kind`` is one of "shamos" (``|x_i - x_j|``, unscaled), "hl1", "hl2"
-    or "hl3" (``0.5 * (x_i + x_j)``).  The result is the same double as
-    forming every pair value and taking the midpoint median, ``0.5 * (lo +
-    hi)`` of the two middle values for an even count.  Rows are handled in
-    chunks whose pairs fill one reused buffer, partitioned in place.
+def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
+    """Median of the values of each row of a (rows, n) float array: the row
+    itself for "median", ``|x_i - median|`` for "mad" and ``|x_i - x_j|``
+    for "shamos" (both unscaled), ``0.5 * (x_i + x_j)`` for "hl1", "hl2"
+    and "hl3".  Each is the midpoint median of ``_select_medians``, with -0.0
+    ranked before +0.0.  Rows are handled in chunks whose values fill one
+    reused buffer, selected in place.
     """
     rows, n = block.shape
     upper = n * (n - 1) // 2
-    m = n * n if kind == "hl3" else upper + n if kind == "hl2" else upper
-    k = m // 2
+    m = (n if kind in ("median", "mad") else n * n if kind == "hl3"
+         else upper + n if kind == "hl2" else upper)
+    hl = kind in ("hl1", "hl2", "hl3")
     # Halving is monotone, so the Hodges-Lehmann sums are selected and only
     # the two middle ones halved: the same doubles as halving every pair.
-    half = 1.0 if kind == "shamos" else 0.5
+    half = 0.5 if hl else 1.0
     # Differences need sorted rows, except the one difference of n = 2,
     # whose absolute value is the same either way.  Sums need no sorting,
     # but the sums of a sorted row too long to share the buffer partition
-    # about three times faster.
+    # about three times faster.  The median and the MAD stay O(n).
     raw = block
-    if (kind == "shamos" and n > 2) or m > _BUFFER_PAIRS:
+    if (kind == "shamos" and n > 2) or (hl and m > _BUFFER_PAIRS):
         block = np.sort(block, axis=1)
-    step = max(1, _BUFFER_PAIRS // m)
+    step = _BUFFER_PAIRS // m or 1
     buf = np.empty((min(rows, step), m))
     out = np.empty(rows)
     for start in range(0, rows, step):
         chunk = block[start:start + step]
         pairs = buf[:len(chunk)]
+        medians = out[start:start + len(chunk)]
         _fill_pairs(chunk, kind, pairs)
-        # numpy selects one kth with a vectorised quickselect but several
-        # with a scalar introselect: only for one short row does a second
-        # kth cost less than a max-reduce call
-        short = len(chunk) == 1 and m % 2 == 0 and m <= _SHORT_ROW_PAIRS
-        pairs.partition((k - 1, k) if short else k, axis=1)
-        hi = pairs[:, k]
-        if m % 2:
-            lo = hi
-        elif short:
-            lo = pairs[:, k - 1]
-        else:
-            lo = np.maximum.reduce(pairs[:, :k], axis=1)
-        if len(chunk) == 1:
-            # one row, as from the scalar API: Python floats cost less than
-            # 1-element arrays
-            lo, hi = half * lo.item(), half * hi.item()
-            zeros = [0] if lo == hi == 0 else []
-        else:
-            lo, hi = half * lo, half * hi
-            zeros = np.flatnonzero((lo == 0) & (hi == 0))
-        out[start:start + len(chunk)] = hi if m % 2 else 0.5 * (lo + hi)
-        if kind != "shamos":
+        if kind == "mad":
+            # deviations from the median, in place: none is -0.0 after abs,
+            # so the sign of a zero median does not matter
+            _select_medians(pairs, 1.0, medians)
+            pairs -= medians[:, None]
+            np.abs(pairs, out=pairs)
+        zeros = _select_medians(pairs, half, medians)
+        if kind == "median" or hl:
+            # Sorting and partitioning treat -0.0 and +0.0 as equal and may
+            # write either for the other, so a median of zeros is ranked on
+            # values formed afresh from the unsorted row.  A halved sum is
+            # negative or -0.0 exactly when the sum is.
             for r in zeros:
-                out[start + r] = _zero_rank_sign(raw[start + r], kind, k, pairs[r])
+                again = pairs[r:r + 1]
+                _fill_pairs(raw[start + r:start + r + 1], kind, again)
+                medians[r] = _zero_at_rank(again, m // 2)
     # |x_i - x_j| is never -0.0, but +0.0 - -0.0 of sorted values can be
     return np.abs(out, out=out) if kind == "shamos" else out
 
 
-def _zero_rank_sign(row: np.ndarray, kind: str, k: int, scratch: np.ndarray) -> float:
-    """Sign of a Hodges-Lehmann median whose two middle pair values are
-    zeros: -0.0 ranks before +0.0, so the sign does not depend on the order
-    of the pairs.
+def _select_medians(values: np.ndarray, half: float, out: np.ndarray):
+    """Write each row's median into ``out``: the middle value, or ``0.5 *
+    (lo + hi)`` of the two middle values, each scaled by ``half``; return
+    the rows whose middle values are zeros.  Reorders the rows in place.
+    ``lo + hi`` overflows only when both exceed half the largest double, and
+    then ``0.5 * lo + 0.5 * hi`` is the same correctly rounded midpoint."""
+    rows, m = values.shape
+    k = m // 2
+    if rows == 1:
+        # one row, as from the scalar API: Python floats cost less than
+        # 1-element arrays, and numpy sorts a short row faster than it
+        # selects in it
+        if m <= _SHORT_ROW:
+            values.sort()
+            lo = values.item(0, (m - 1) // 2)
+        else:
+            values.partition(k, axis=1)
+            lo = values.item(0, k) if m % 2 else values[0, :k].max().item()
+        lo, hi = half * lo, half * values.item(0, k)
+        mid = hi if m % 2 else 0.5 * (lo + hi)
+        out[0] = 0.5 * lo + 0.5 * hi if abs(mid) == math.inf else mid
+        return (0,) if lo == hi == 0 else ()
+    # numpy selects one kth with a vectorised quickselect but several with a
+    # scalar introselect, which costs more than a max-reduce call
+    values.partition(k, axis=1)
+    hi = half * values[:, k]
+    lo = hi if m % 2 else half * np.maximum.reduce(values[:, :k], axis=1)
+    with np.errstate(over="ignore"):
+        out[:] = hi if m % 2 else 0.5 * (lo + hi)
+    over = np.isinf(out)
+    if np.count_nonzero(over):
+        out[over] = 0.5 * lo[over] + 0.5 * hi[over]
+    return np.flatnonzero((lo == 0) & (hi == 0))
 
-    The pairs are formed afresh in ``scratch`` (one row of the buffer) from
-    the unsorted row: sorting and partitioning treat -0.0 and +0.0 as equal
-    and may write either in place of the other.  A halved sum is negative or
-    -0.0 exactly when the sum is.
-    """
-    sums = scratch[None, :]
-    _fill_pairs(row[None, :], kind, sums)
-    return _zero_at_rank(sums, k)
+
+def _row_estimates(estimator: Estimator, block: np.ndarray) -> np.ndarray:
+    """Estimator value (scales consistent) per row of a (rows, n) block."""
+    if estimator == Estimator.MEAN:
+        return block.mean(axis=1)
+    if estimator == Estimator.STD:
+        return block.std(axis=1, ddof=1)
+    if estimator == Estimator.MAD:
+        return _row_medians(block, "mad") * MAD_SCALE
+    if estimator == Estimator.SHAMOS:
+        return _row_medians(block, "shamos") * PAIR_DIFF_SCALE
+    if estimator == Estimator.MEDIAN or estimator in _PAIRWISE:
+        return _row_medians(block, estimator.value)
+    raise ValueError(f"unsupported estimator {estimator}")
 
 
 def hodges_lehmann(values: Iterable[float], variant: str = "hl1") -> float:
@@ -296,7 +317,7 @@ def hodges_lehmann(values: Iterable[float], variant: str = "hl1") -> float:
         raise ValueError(f"unknown Hodges-Lehmann variant: {variant!r}")
     arr = _as_sample(values, min_n=2 if variant == "hl1" else 1)
     _check_pair_limit(variant, arr.size)
-    return float(_pair_medians(arr[None, :], variant)[0])
+    return _row_medians(arr[None, :], variant).item()
 
 
 def hl1(values: Iterable[float]) -> float:
@@ -321,7 +342,7 @@ def mad(values: Iterable[float], consistent: bool = True) -> float:
     quartile so it estimates sigma under a normal population.
     """
     arr = _as_sample(values, min_n=2)
-    raw = _median_of(np.abs(arr - _median_of(arr)))
+    raw = _row_medians(arr[None, :], "mad").item()
     return raw * MAD_SCALE if consistent else raw
 
 
@@ -333,7 +354,7 @@ def shamos(values: Iterable[float], consistent: bool = True) -> float:
     """
     arr = _as_sample(values, min_n=2)
     _check_pair_limit("shamos", arr.size)
-    raw = float(_pair_medians(arr[None, :], "shamos")[0])
+    raw = _row_medians(arr[None, :], "shamos").item()
     return raw * PAIR_DIFF_SCALE if consistent else raw
 
 

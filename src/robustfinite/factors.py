@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
 from .breakdown import _check_n
-from .estimators import Estimator, mad, shamos
+from .estimators import Estimator, _as_sample, mad, shamos
 
 __all__ = [
     "c4",
@@ -264,26 +262,26 @@ def factor_set(n: int, model: str = "hayes") -> FactorSet:
 
 def unbiased_mad(values) -> float:
     """MAD rescaled to be unbiased for sigma at the normal: mad/c5(n)."""
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    arr = _as_sample(values)
     return mad(arr) / c5(arr.size)
 
 
 def unbiased_shamos(values) -> float:
     """Pairwise scale estimator rescaled to be unbiased: shamos/c6(n)."""
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    arr = _as_sample(values)
     return shamos(arr) / c6(arr.size)
 
 
 def unbiased_mad_sq(values) -> float:
     """Unbiased estimator of sigma^2: mad^2 / (v5(n) + c5(n)^2)."""
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    arr = _as_sample(values)
     n = arr.size
     return mad(arr) ** 2 / (v5(n) + c5(n) ** 2)
 
 
 def unbiased_shamos_sq(values) -> float:
     """Unbiased estimator of sigma^2: shamos^2 / (v6(n) + c6(n)^2)."""
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    arr = _as_sample(values)
     n = arr.size
     return shamos(arr) ** 2 / (v6(n) + c6(n) ** 2)
 

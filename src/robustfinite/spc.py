@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .calibration import _CONTAMINATION_DOMAIN, _Moments, _row_estimates, _run_blocks
-from .estimators import Estimator
+from .calibration import _CONTAMINATION_DOMAIN, _check_int, _Moments, _run_blocks
+from .estimators import Estimator, _row_estimates
 from .estimators import std_dev as _std
 from .factors import c4, c5, c6
 
@@ -248,8 +248,9 @@ def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
     subgroup 1 are shifted by delta before any statistic is computed, and the
     six estimates of 3*sigma are recorded.  Returns one row per
     (delta, method) with empirical bias, variance, and MSE (bias^2 +
-    variance) relative to 3*sigma.  ``mu``, ``sigma`` and every delta must
-    be finite, ``sigma`` positive, and ``delta_grid`` non-empty.
+    variance) relative to 3*sigma.  ``k``, ``n``, ``corrupt_count`` and
+    ``replications`` must be integers; ``mu``, ``sigma`` and every delta
+    must be finite, ``sigma`` positive, and ``delta_grid`` non-empty.
 
     The std, MAD and Shamos scales of all k subgroups are computed once per
     replication block; each nonzero delta recomputes only the corrupted
@@ -261,6 +262,9 @@ def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
     b)`` (domain 1 is this experiment's) and merges the per-block moments
     in block order, so the worker count never changes the result.
     """
+    k = _check_int("k (subgroups)", k)
+    n = _check_int("n (subgroup size)", n)
+    corrupt_count = _check_int("corrupt_count", corrupt_count)
     if k < 1:
         raise ValueError(f"k (subgroups) must be at least 1, got {k}")
     if n < 2:

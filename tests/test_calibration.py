@@ -110,6 +110,26 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=rf"master_seed .* got {seed!r}"):
                 run()
 
+    def test_non_integer_sample_size_is_named(self):
+        message = r"^n \(sample size\) must be an integer, got 5.7$"
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig("mad", (5.7,), master_seed=0)
+        with pytest.raises(ValueError, match=message):
+            regenerate_table("bias", [5.7], master_seed=0, replications=100)
+
+    def test_non_integer_replications_is_named(self):
+        runs = (
+            lambda: simulate(SimulationConfig("mean", (3,), master_seed=0,
+                                              replications=150.5, worker_count=1)),
+            lambda: regenerate_table("bias", (3,), 0, 150.5, worker_count=1),
+            lambda: spc.contamination_experiment(replications=150.5, master_seed=0,
+                                                 worker_count=1),
+        )
+        for run in runs:
+            with pytest.raises(ValueError,
+                               match=r"^replications must be an integer, got 150.5$"):
+                run()
+
     def test_pairwise_size_guard(self):
         # building the config allocates nothing, so the limit is cheap to test
         for est in ("shamos", "hl1", "hl2", "hl3"):

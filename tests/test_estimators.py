@@ -19,6 +19,12 @@ from robustfinite.estimators import (
     shamos,
     std_dev,
 )
+from robustfinite.factors import (
+    unbiased_mad,
+    unbiased_mad_sq,
+    unbiased_shamos,
+    unbiased_shamos_sq,
+)
 
 from conftest import close_rel
 
@@ -108,7 +114,8 @@ class TestValidation:
 
     def test_two_dimensional_input_rejected(self):
         fns = (mean, median, hl1, hl2, hl3, mad, shamos, std_dev,
-               lambda x: hodges_lehmann(x, "hl2"), lambda x: select_kth(x, 0))
+               lambda x: hodges_lehmann(x, "hl2"), lambda x: select_kth(x, 0),
+               unbiased_mad, unbiased_shamos, unbiased_mad_sq, unbiased_shamos_sq)
         for fn in fns:
             for bad in (np.ones((3, 4)), [[1, 2], [3, 4]]):
                 with pytest.raises(ValueError, match=r"1-d.*shape \(\d, \d\)"):

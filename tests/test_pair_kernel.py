@@ -1,8 +1,9 @@
-"""The shared pairwise-median kernel against a pure-Python brute force.
+"""The shared median kernel against a pure-Python brute force.
 
-The reference forms every pair value exactly as each estimator defines it,
-sorts all of them (-0.0 before +0.0) and takes the midpoint median.  Every
-comparison is at ``float.hex`` equality, so signed zeros count.
+The reference forms every value exactly as each estimator defines it (the
+observations, their absolute deviations from the median, or the pair
+values), sorts all of them (-0.0 before +0.0) and takes the midpoint median.
+Every comparison is at ``float.hex`` equality, so signed zeros count.
 """
 
 import math
@@ -11,11 +12,13 @@ import numpy as np
 import pytest
 
 from robustfinite import estimators as est
-from robustfinite.estimators import _BUFFER_PAIRS, _pair_medians
+from robustfinite.estimators import _BUFFER_PAIRS, _row_medians
 
-KINDS = ("shamos", "hl1", "hl2", "hl3")
-MIN_N = {"shamos": 2, "hl1": 2, "hl2": 1, "hl3": 1}
+KINDS = ("median", "mad", "shamos", "hl1", "hl2", "hl3")
+MIN_N = {"median": 1, "mad": 2, "shamos": 2, "hl1": 2, "hl2": 1, "hl3": 1}
 SCALAR = {
+    "median": est.median,
+    "mad": lambda x: est.mad(x, consistent=False),
     "shamos": lambda x: est.shamos(x, consistent=False),
     "hl1": est.hl1,
     "hl2": est.hl2,
@@ -25,6 +28,11 @@ SCALAR = {
 
 def reference_pairs(x, kind):
     n = len(x)
+    if kind == "median":
+        return list(x)
+    if kind == "mad":
+        centre = reference_median(x, "median")
+        return [abs(a - centre) for a in x]
     if kind == "shamos":
         return [abs(x[i] - x[j]) for i in range(n) for j in range(i + 1, n)]
     if kind == "hl3":
@@ -37,7 +45,12 @@ def reference_median(x, kind):
     v = sorted(reference_pairs([float(a) for a in x], kind),
                key=lambda a: (a, math.copysign(1.0, a)))
     m = len(v)
-    return v[m // 2] if m % 2 else 0.5 * (v[m // 2 - 1] + v[m // 2])
+    if m % 2:
+        return v[m // 2]
+    lo, hi = v[m // 2 - 1], v[m // 2]
+    mid = 0.5 * (lo + hi)
+    # lo + hi overflows only when halving each first is exact
+    return 0.5 * lo + 0.5 * hi if math.isinf(mid) else mid
 
 
 def samples(rng, n):
@@ -59,21 +72,22 @@ def test_small_n_matches_brute_force(kind):
                    for b in (-1.0, -0.0, 0.0, 1.0)]
         wants = [reference_median(x, kind).hex() for x in xs]
         for x, want in zip(xs, wants):
-            assert _pair_medians(x[None, :], kind)[0].hex() == want, (kind, list(x))
+            assert _row_medians(x[None, :], kind)[0].hex() == want, (kind, list(x))
             assert SCALAR[kind](x).hex() == want, (kind, list(x))
-        assert [v.hex() for v in _pair_medians(np.array(xs), kind)] == wants, (kind, n)
+        assert [v.hex() for v in _row_medians(np.array(xs), kind)] == wants, (kind, n)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_across_chunks_matches_brute_force(kind):
     rng = np.random.default_rng(7)
     n = 60
-    pairs = {"shamos": 1770, "hl1": 1770, "hl2": 1830, "hl3": 3600}[kind]
+    pairs = {"median": 60, "mad": 60, "shamos": 1770, "hl1": 1770, "hl2": 1830,
+             "hl3": 3600}[kind]
     step = _BUFFER_PAIRS // pairs
     rows = 2 * step + 7  # three chunks, the last one partial
     block = rng.normal(size=(rows, n))
     block[::5] = np.round(block[::5])  # ties in every fifth row
-    got = _pair_medians(block, kind)
+    got = _row_medians(block, kind)
     assert got.shape == (rows,)
     for row, value in zip(block, got):
         assert value.hex() == reference_median(row, kind).hex()
@@ -81,24 +95,46 @@ def test_block_across_chunks_matches_brute_force(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_row_larger_than_buffer_matches_brute_force(kind):
+    # one row holds more values than the buffer: n for the median and the
+    # MAD, which do not apply PAIR_LIMIT, and about n^2/2 pairs otherwise
+    linear = kind in ("median", "mad")
+    n = _BUFFER_PAIRS + 3 if linear else 800
+    assert (n if linear else n * (n - 1) // 2) > _BUFFER_PAIRS
     rng = np.random.default_rng(11)
-    x = np.round(rng.normal(size=800), 2)
-    assert 800 * 799 // 2 > _BUFFER_PAIRS
+    x = np.round(rng.normal(size=n), 2)
     want = reference_median(x, kind).hex()
-    assert _pair_medians(x[None, :], kind)[0].hex() == want
+    assert _row_medians(x[None, :], kind)[0].hex() == want
     assert SCALAR[kind](x).hex() == want
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_permutation_invariance(kind):
     rng = np.random.default_rng(5)
-    for x in (rng.normal(size=23), rng.choice([-0.0, 0.0, 1.0, -1.0], size=24)):
+    # the last sample's median is the -0.0 at ranks 11 and 12
+    for x in (rng.normal(size=23), rng.choice([-0.0, 0.0, 1.0, -1.0], size=24),
+              np.array([-1.0] * 5 + [-0.0] * 8 + [0.0] * 4 + [1.0] * 7)):
         block = np.array([rng.permutation(x) for _ in range(30)])
-        got = _pair_medians(block, kind)
-        assert np.all(got == got[0])
-        assert {v.hex() for v in got} == {got[0].hex()}
+        got = _row_medians(block, kind)
+        assert {v.hex() for v in got} == {reference_median(x, kind).hex()}
 
 
 def test_shamos_of_signed_zeros_is_positive_zero():
     assert est.shamos([-0.0, 0.0, 0.0]).hex() == "0x0.0p+0"
     assert est.shamos([0.0, -0.0]).hex() == "0x0.0p+0"
+
+
+def test_finite_sample_has_finite_median():
+    """The midpoint of two middle values near the largest double is formed
+    without overflow, and an odd count takes the middle value as it is."""
+    big = 1.7e308
+    assert est.median([big]) == big
+    assert est.median([big] * 3) == big
+    assert est.median([big, big]) == big
+    assert est.median([-1.5e308, -big]).hex() == (-0.5 * 1.5e308 - 0.5 * big).hex()
+    assert est.mad([big, big, 1.0]) == 0.0
+    block = np.array([[big, big, 1.0, 1.5e308], [1.0, -big, -big, -1.5e308]])
+    want = [(0.5 * big + 0.5 * 1.5e308).hex(), (-0.5 * big - 0.5 * 1.5e308).hex()]
+    assert [v.hex() for v in _row_medians(block, "median")] == want
+    assert [v.hex() for v in _row_medians(block[:, :3], "median")] == [
+        big.hex(), (-big).hex()]
+    assert list(_row_medians(block[:, :3], "mad")) == [0.0, 0.0]

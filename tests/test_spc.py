@@ -290,11 +290,15 @@ class TestContaminationExperiment:
         (dict(delta_grid=()), r"^delta_grid .* got none$"),
         (dict(corrupt_count=6), r"^corrupt_count .* got 6$"),
         (dict(corrupt_count=-1), r"^corrupt_count .* got -1$"),
+        (dict(k=2.5), r"^k \(subgroups\) must be an integer, got 2.5$"),
+        (dict(n=4.5), r"^n \(subgroup size\) must be an integer, got 4.5$"),
+        (dict(corrupt_count=0.5), r"^corrupt_count must be an integer, got 0.5$"),
+        (dict(replications=150.5), r"^replications must be an integer, got 150.5$"),
     ])
     def test_invalid_input_is_named(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            contamination_experiment(n=5, replications=100, master_seed=0,
-                                     worker_count=1, **kwargs)
+            contamination_experiment(**{**dict(n=5, replications=100, master_seed=0,
+                                               worker_count=1), **kwargs})
 
     def test_validation(self):
         with pytest.raises(ValueError):
