@@ -10,6 +10,9 @@ an independent counting oracle re-derives k* by exhaustive search.
 Asymptotically eps_n tends to 1/2 for the median/MAD and 1 - 1/sqrt(2)
 (about 0.293) for the pairwise estimators, but small-sample values differ
 noticeably; ``breakdown_table`` tabulates them.
+
+Every n passes ``estimators._check_int``, the package's one integer check:
+a float or a string is an error that names n, never truncated to a size.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .estimators import Estimator
+from .estimators import Estimator, _check_int
 
 __all__ = [
     "BreakdownResult",
@@ -51,13 +54,6 @@ class BreakdownResult:
         return (self.k_star, self.n)
 
 
-def _check_n(n: int, min_n: int = 1) -> int:
-    n = int(n)
-    if n < min_n:
-        raise ValueError(f"n must be >= {min_n}, got {n}")
-    return n
-
-
 def _floor_n_minus_sqrt(n: int, d: int) -> int:
     """floor(n - sqrt(d)) for integers d >= 0, exactly."""
     s = math.isqrt(d)
@@ -74,13 +70,13 @@ def _floor_half_odd_minus_sqrt(a: int, f4: int) -> int:
 def breakdown_median(n: int) -> BreakdownResult:
     """Median breakdown: k* = floor((n-1)/2).  Also applies to the MAD,
     which inherits the median's resistance."""
-    n = _check_n(n)
+    n = _check_int("n", n, 1)
     return BreakdownResult(n, Estimator.MEDIAN, (n - 1) // 2)
 
 
 def breakdown_hl3(n: int) -> BreakdownResult:
     """hl3 breakdown: k* = floor(n - sqrt(n^2 - floor((n^2-1)/2)))."""
-    n = _check_n(n)
+    n = _check_int("n", n, 1)
     k = _floor_n_minus_sqrt(n, n * n - (n * n - 1) // 2)
     return BreakdownResult(n, Estimator.HL3, k)
 
@@ -88,7 +84,7 @@ def breakdown_hl3(n: int) -> BreakdownResult:
 def breakdown_hl1(n: int) -> BreakdownResult:
     """hl1 breakdown via the (2n-1) quadratic; needs n >= 2.  Also applies
     to the pairwise-difference scale estimator (same pair structure)."""
-    n = _check_n(n, min_n=2)
+    n = _check_int("n", n, 2)
     m = (n * n - n - 2) // 4
     k = _floor_half_odd_minus_sqrt(2 * n - 1, 4 * n * n - 4 * n + 1 - 8 * m)
     return BreakdownResult(n, Estimator.HL1, k)
@@ -96,7 +92,7 @@ def breakdown_hl1(n: int) -> BreakdownResult:
 
 def breakdown_hl2(n: int) -> BreakdownResult:
     """hl2 breakdown via the (n+1/2) quadratic."""
-    n = _check_n(n)
+    n = _check_int("n", n, 1)
     m = (n * n + n - 2) // 4
     k = _floor_half_odd_minus_sqrt(2 * n + 1, 4 * n * n + 4 * n + 1 - 8 * m)
     return BreakdownResult(n, Estimator.HL2, k)
@@ -130,7 +126,7 @@ def breakdown_oracle(n: int, estimator: Estimator | str) -> BreakdownResult:
     floor((N-1)/2) of the N pair statistics.  k* is found by trying every k.
     """
     est = Estimator(estimator)
-    n = _check_n(n, min_n=2 if est in (Estimator.HL1, Estimator.SHAMOS) else 1)
+    n = _check_int("n", n, 2 if est in (Estimator.HL1, Estimator.SHAMOS) else 1)
 
     if est in (Estimator.MEDIAN, Estimator.MAD):
         total = n
@@ -165,7 +161,7 @@ def breakdown_table(n_max: int) -> list[dict]:
     Columns mirror the grouping in which estimators share a value:
     median/MAD, hl1/pairwise-difference scale, hl2, hl3.
     """
-    n_max = _check_n(n_max, min_n=2)
+    n_max = _check_int("n_max", n_max, 2)
     rows = []
     for n in range(2, n_max + 1):
         rows.append(

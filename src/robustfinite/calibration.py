@@ -18,7 +18,9 @@ its own substream, so a block's draw count cannot shift any other block.
 The per-block ``_Moments`` are merged in block order.  Results are
 therefore a pure function of the experiment and its master seed:
 bit-identical for any worker count, with workers mapped over blocks via one
-process pool per call.
+process pool per call.  ``_run_blocks`` also owns the input rules all three
+share: the seed is an integer of at least 0 and the replication count an
+integer of at least 100, both checked by ``estimators._check_int``.
 
 Estimates per replication come from ``estimators._row_estimates``, which
 calls the median kernel that the scalar API and the control charts share
@@ -37,7 +39,7 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from .estimators import _PAIRWISE, Estimator, _check_pair_limit, _row_estimates
+from .estimators import _PAIRWISE, Estimator, _check_int, _check_pair_limit, _row_estimates
 from .factors import BiasModel, normalized_variance
 
 __all__ = [
@@ -148,17 +150,12 @@ class _Moments:
 # input checks
 
 
-def _check_int(name: str, value) -> int:
-    """``value`` as an int; anything but an integer is a ``ValueError`` that
-    names the input, where ``int()`` would truncate a float silently."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+# The smallest replication count a Monte Carlo run accepts.
+_MIN_REPLICATIONS = 100
 
 
 def _validate_estimator_n(estimator: Estimator, n: int) -> None:
-    if n < estimator.min_n:
-        raise ValueError(f"{estimator.value} requires n >= {estimator.min_n}, got {n}")
+    _check_int(f"n (sample size) for {estimator.value}", n, estimator.min_n)
     if estimator in _PAIRWISE:
         _check_pair_limit(estimator.value, n)
 
@@ -203,10 +200,8 @@ def _run_blocks(fn: Callable[..., list[_Moments]], domain: int,
     a module-level function, so pool workers can unpickle it.  The call
     opens at most one process pool, of min(requested, blocks, CPUs) workers.
     """
-    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
-        raise ValueError(f"master_seed must be a non-negative integer, "
-                         f"got {master_seed!r}")
-    _check_int("replications", replications)
+    _check_int("master_seed", master_seed, 0)
+    _check_int("replications", replications, _MIN_REPLICATIONS)
     sizes = _block_sizes(replications)
     tasks = [(fn, master_seed, domain, stream, b, size, args)
              for stream, args in cells.values() for b, size in enumerate(sizes)]
@@ -257,8 +252,7 @@ class SimulationConfig:
         object.__setattr__(self, "estimator", Estimator(self.estimator))
         object.__setattr__(self, "n_values", tuple(_check_int("n (sample size)", n)
                                                   for n in self.n_values))
-        if self.replications < 100:
-            raise ValueError("need at least 100 replications")
+        _check_int("replications", self.replications, _MIN_REPLICATIONS)
         for n in self.n_values:
             _validate_estimator_n(self.estimator, n)
 
@@ -314,7 +308,9 @@ def simulate(config: SimulationConfig) -> list[SimulationResult]:
 
 @dataclass(frozen=True)
 class FitInput:
-    """Observations (n, value) to fit, with optional per-point weights."""
+    """Observations (n, value) to fit, with optional per-point weights.
+    Every n must be finite and positive, every value finite, and every
+    weight finite and positive."""
 
     points: tuple[tuple[float, float], ...]
     weights: tuple[float, ...] | None = None
@@ -325,14 +321,20 @@ class FitInput:
         ns = [n for n, _ in pts]
         if len(pts) < 2:
             raise ValueError("need at least 2 points to fit")
+        for n, y in pts:
+            if not (math.isfinite(n) and n > 0 and math.isfinite(y)):
+                raise ValueError(f"point (n={n!r}, value={y!r}) needs a finite "
+                                 f"n > 0 and a finite value")
         if len(set(ns)) != len(ns):
             raise ValueError("n values must be distinct")
         if self.weights is not None:
             w = tuple(float(v) for v in self.weights)
             if len(w) != len(pts):
                 raise ValueError("weights length must match points")
-            if any(v <= 0 for v in w):
-                raise ValueError("weights must be positive")
+            for (n, y), v in zip(pts, w):
+                if not (math.isfinite(v) and v > 0):
+                    raise ValueError(f"weight of point (n={n!r}, value={y!r}) must "
+                                     f"be finite and positive, got {v!r}")
             object.__setattr__(self, "weights", w)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -427,19 +429,14 @@ def regenerate_table(table_id: str, n_values: Iterable[int], master_seed: int,
     """
     if table_id not in _TABLE_COLUMNS:
         raise ValueError(f"unknown table id {table_id!r}")
-    if replications < 100:
-        raise ValueError("need at least 100 replications")
     columns = _TABLE_COLUMNS[table_id]
-    n_values = [_check_int("n (sample size)", n) for n in n_values]
+    n_values = [_check_int("n (sample size)", n, 1) for n in n_values]
     baselines = (Estimator.MEAN, Estimator.STD) if table_id == "re" else ()
     batches = {n: tuple(e for e in columns + baselines if n >= e.min_n)
                for n in n_values}
     for n, batch in batches.items():
-        if n < 1:
-            raise ValueError(f"n (sample size) must be at least 1, got {n}")
         for e in batch:
-            if e in _PAIRWISE:
-                _check_pair_limit(e.value, n)
+            _validate_estimator_n(e, n)
     merged = _run_blocks(_estimator_block, _SIMULATOR_DOMAIN,
                          {n: (n, (n, batch)) for n, batch in batches.items()},
                          replications, master_seed, worker_count)

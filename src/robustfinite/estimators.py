@@ -105,6 +105,10 @@ PAIR_DIFF_SCALE = 1.0 / (math.sqrt(2.0) * NORMAL_Q3)    # ~1.048358
 # Estimators whose value is a median over pairs of observations.
 _PAIRWISE = (Estimator.SHAMOS, Estimator.HL1, Estimator.HL2, Estimator.HL3)
 
+# Estimator.min_n by name, for the scalar API: reading enum members costs
+# about 1 us a call, a large share of a small-sample estimate.
+_MIN_N = {e.value: e.min_n for e in Estimator}
+
 
 def _as_sample(values: Iterable[float], min_n: int = 1) -> np.ndarray:
     """Validate and convert input to a finite 1-d float array."""
@@ -118,12 +122,27 @@ def _as_sample(values: Iterable[float], min_n: int = 1) -> np.ndarray:
     return arr
 
 
+def _check_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int of at least ``minimum``: the one check of every
+    size, count and seed.  Anything else (a float, a string, a bool) is a
+    ``ValueError`` that names the input, where ``int()`` would truncate or
+    parse it silently."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        rule = "a non-negative integer" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
 def select_kth(values: Iterable[float], k: int) -> float:
     """Return the k-th smallest element (0-based), duplicates preserved.
 
     Backed by introselect (``np.partition``), average linear time.
     """
     arr = _as_sample(values)
+    k = _check_int("k", k)
     if not 0 <= k < arr.size:
         raise ValueError(f"k={k} out of range for sample of size {arr.size}")
     value = float(np.partition(arr, k)[k])
@@ -141,10 +160,23 @@ def _zero_at_rank(values: np.ndarray, k: int) -> float:
     return -0.0 if k < below else 0.0
 
 
+def _fsum_mean(values: np.ndarray, divisor: int) -> float:
+    """``math.fsum(values) / divisor``, finite whenever the true quotient
+    is.  Only when the exact sum passes the largest double are the values
+    first divided by a power of two above ``divisor``, which is at least
+    the number of terms of a mean or a variance, and the quotient is
+    multiplied back."""
+    try:
+        return math.fsum(values) / divisor
+    except OverflowError:
+        scale = 2.0 ** divisor.bit_length()
+        return math.fsum(values / scale) / divisor * scale
+
+
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean (exactly-rounded sum, so permutation invariant)."""
     arr = _as_sample(values)
-    return math.fsum(arr) / arr.size
+    return _fsum_mean(arr, arr.size)
 
 
 def median(values: Iterable[float]) -> float:
@@ -237,7 +269,14 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
             _select_medians(pairs, 1.0, medians)
             pairs -= medians[:, None]
             np.abs(pairs, out=pairs)
-        zeros = _select_medians(pairs, half, medians)
+        zeros, infinite = _select_medians(pairs, half, medians)
+        if hl:
+            # a middle pair sum passed the largest double, though its half
+            # does not: select again among the sums of halved values
+            for r in infinite:
+                again = pairs[r:r + 1]
+                _fill_pairs(0.5 * raw[start + r:start + r + 1], kind, again)
+                _select_medians(again, 1.0, medians[r:r + 1])
         if kind == "median" or hl:
             # Sorting and partitioning treat -0.0 and +0.0 as equal and may
             # write either for the other, so a median of zeros is ranked on
@@ -254,9 +293,11 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
 def _select_medians(values: np.ndarray, half: float, out: np.ndarray):
     """Write each row's median into ``out``: the middle value, or ``0.5 *
     (lo + hi)`` of the two middle values, each scaled by ``half``; return
-    the rows whose middle values are zeros.  Reorders the rows in place.
-    ``lo + hi`` overflows only when both exceed half the largest double, and
-    then ``0.5 * lo + 0.5 * hi`` is the same correctly rounded midpoint."""
+    the rows whose middle values are zeros and the rows whose median is
+    infinite.  Reorders the rows in place.  ``lo + hi`` overflows only when
+    both exceed half the largest double, and then ``0.5 * lo + 0.5 * hi`` is
+    the same correctly rounded midpoint; the median stays infinite only
+    when a middle value is."""
     rows, m = values.shape
     k = m // 2
     if rows == 1:
@@ -271,8 +312,11 @@ def _select_medians(values: np.ndarray, half: float, out: np.ndarray):
             lo = values.item(0, k) if m % 2 else values[0, :k].max().item()
         lo, hi = half * lo, half * values.item(0, k)
         mid = hi if m % 2 else 0.5 * (lo + hi)
-        out[0] = 0.5 * lo + 0.5 * hi if abs(mid) == math.inf else mid
-        return (0,) if lo == hi == 0 else ()
+        if abs(mid) == math.inf:
+            out[0] = mid = 0.5 * lo + 0.5 * hi
+            return (), (0,) if abs(mid) == math.inf else ()
+        out[0] = mid
+        return (0,) if lo == hi == 0 else (), ()
     # numpy selects one kth with a vectorised quickselect but several with a
     # scalar introselect, which costs more than a max-reduce call
     values.partition(k, axis=1)
@@ -281,9 +325,11 @@ def _select_medians(values: np.ndarray, half: float, out: np.ndarray):
     with np.errstate(over="ignore"):
         out[:] = hi if m % 2 else 0.5 * (lo + hi)
     over = np.isinf(out)
+    infinite = ()
     if np.count_nonzero(over):
         out[over] = 0.5 * lo[over] + 0.5 * hi[over]
-    return np.flatnonzero((lo == 0) & (hi == 0))
+        infinite = np.flatnonzero(np.isinf(out))
+    return np.flatnonzero((lo == 0) & (hi == 0)), infinite
 
 
 def _row_estimates(estimator: Estimator, block: np.ndarray) -> np.ndarray:
@@ -315,7 +361,7 @@ def hodges_lehmann(values: Iterable[float], variant: str = "hl1") -> float:
     variant = str(variant).lower()
     if variant not in ("hl1", "hl2", "hl3"):
         raise ValueError(f"unknown Hodges-Lehmann variant: {variant!r}")
-    arr = _as_sample(values, min_n=2 if variant == "hl1" else 1)
+    arr = _as_sample(values, _MIN_N[variant])
     _check_pair_limit(variant, arr.size)
     return _row_medians(arr[None, :], variant).item()
 
@@ -341,7 +387,7 @@ def mad(values: Iterable[float], consistent: bool = True) -> float:
     With ``consistent=True`` the result is divided by the normal third
     quartile so it estimates sigma under a normal population.
     """
-    arr = _as_sample(values, min_n=2)
+    arr = _as_sample(values, _MIN_N["mad"])
     raw = _row_medians(arr[None, :], "mad").item()
     return raw * MAD_SCALE if consistent else raw
 
@@ -350,9 +396,11 @@ def shamos(values: Iterable[float], consistent: bool = True) -> float:
     """Median of all pairwise absolute differences |X_i - X_j|, i < j.
 
     With ``consistent=True`` the result is scaled (by ~1.048358) to be
-    consistent for sigma under a normal population.
+    consistent for sigma under a normal population.  The result is
+    infinite only when the middle difference itself exceeds the largest
+    double, as for ``[-1.7e308, 1.7e308]``.
     """
-    arr = _as_sample(values, min_n=2)
+    arr = _as_sample(values, _MIN_N["shamos"])
     _check_pair_limit("shamos", arr.size)
     raw = _row_medians(arr[None, :], "shamos").item()
     return raw * PAIR_DIFF_SCALE if consistent else raw
@@ -364,10 +412,12 @@ def std_dev(values: Iterable[float], unbiased_c4: bool = False) -> float:
     With ``unbiased_c4=True`` the result is divided by c4(n) so its
     expectation is sigma under a normal population.
     """
-    arr = _as_sample(values, min_n=2)
-    mu = math.fsum(arr) / arr.size
-    ss = math.fsum((x - mu) ** 2 for x in arr)
-    s = math.sqrt(ss / (arr.size - 1))
+    arr = _as_sample(values, _MIN_N["std"])
+    dev = arr - _fsum_mean(arr, arr.size)
+    # squared with libm's pow, as ``d ** 2`` of each scalar is: ``dev * dev``
+    # (an array's ``dev ** 2``) differs from it in the last bit for a few
+    # values, and the scalar loop is the reference
+    s = math.sqrt(_fsum_mean(np.float_power(dev, 2.0), arr.size - 1))
     if unbiased_c4:
         from .factors import c4
 

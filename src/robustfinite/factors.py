@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .breakdown import _check_n
-from .estimators import Estimator, _as_sample, mad, shamos
+from .estimators import Estimator, _as_sample, _check_int, mad, shamos
 
 __all__ = [
     "c4",
@@ -98,7 +97,7 @@ def c4(n: int) -> float:
     Evaluated through log-gamma differences, so it neither overflows nor
     loses accuracy for large n.
     """
-    n = _check_n(n, min_n=2)
+    n = _check_int("n", n, 2)
     return math.sqrt(2.0 / (n - 1)) * math.exp(
         math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0)
     )
@@ -145,7 +144,7 @@ _BIAS_MODELS = {
 def mad_bias(n: int, model: str = "hayes") -> float:
     """Finite-sample bias of the consistent MAD at N(0,1): table value for
     n <= 100, fitted model beyond."""
-    n = _check_n(n, min_n=2)
+    n = _check_int("n", n, 2)
     if n <= TABLE_N_MAX:
         return load_table("bias_table")[n]["mad_bias"]
     return _BIAS_MODELS[("mad", model)].evaluate(n)
@@ -153,7 +152,7 @@ def mad_bias(n: int, model: str = "hayes") -> float:
 
 def shamos_bias(n: int, model: str = "hayes") -> float:
     """Finite-sample bias of the consistent pairwise scale estimator."""
-    n = _check_n(n, min_n=2)
+    n = _check_int("n", n, 2)
     if n <= TABLE_N_MAX:
         return load_table("bias_table")[n]["shamos_bias"]
     return _BIAS_MODELS[("shamos", model)].evaluate(n)
@@ -209,7 +208,7 @@ def variance_model_eval(estimator: Estimator | str, n: float) -> float:
 
 def v5(n: int) -> float:
     """Variance of the consistent MAD at N(0,1) for a sample of size n."""
-    n = _check_n(n, min_n=2)
+    n = _check_int("n", n, 2)
     if n <= TABLE_N_MAX:
         ratio = load_table("nvar_table")[n]["mad_ratio"]
     else:
@@ -219,7 +218,7 @@ def v5(n: int) -> float:
 
 def v6(n: int) -> float:
     """Variance of the consistent pairwise scale estimator at N(0,1)."""
-    n = _check_n(n, min_n=2)
+    n = _check_int("n", n, 2)
     if n <= TABLE_N_MAX:
         ratio = load_table("nvar_table")[n]["shamos_ratio"]
     else:
@@ -247,7 +246,7 @@ def factor_set(n: int, model: str = "hayes") -> FactorSet:
     bias and variance regression models take over (``model`` selects the
     hayes or williams bias form; variance models are hayes-form only).
     """
-    n = _check_n(n, min_n=2)
+    n = _check_int("n", n, 2)
     source = "table" if n <= TABLE_N_MAX else f"{model}-model"
     return FactorSet(
         n=n,
@@ -295,13 +294,9 @@ def relative_efficiency(estimator: Estimator | str, n: int) -> float:
     Table values are returned verbatim for n <= 100.
     """
     est = Estimator(estimator)
-    if est == Estimator.MEAN:
-        _check_n(n, min_n=1)
+    n = _check_int("n", n, 2 if est == Estimator.STD else 1)
+    if est in (Estimator.MEAN, Estimator.STD):
         return 1.0
-    if est == Estimator.STD:
-        _check_n(n, min_n=2)
-        return 1.0
-    n = _check_n(n, min_n=1)
     if n <= TABLE_N_MAX:
         value = load_table("re_table")[n][est.value]
         if math.isnan(value):

@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .calibration import _CONTAMINATION_DOMAIN, _check_int, _Moments, _run_blocks
-from .estimators import Estimator, _row_estimates
+from .calibration import _CONTAMINATION_DOMAIN, _Moments, _run_blocks
+from .estimators import Estimator, _check_int, _row_estimates
 from .estimators import std_dev as _std
 from .factors import c4, c5, c6
 
@@ -249,7 +249,8 @@ def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
     six estimates of 3*sigma are recorded.  Returns one row per
     (delta, method) with empirical bias, variance, and MSE (bias^2 +
     variance) relative to 3*sigma.  ``k``, ``n``, ``corrupt_count`` and
-    ``replications`` must be integers; ``mu``, ``sigma`` and every delta
+    ``replications`` must be integers, with k >= 1, n >= 2, corrupt_count
+    in 0..n and at least 100 replications; ``mu``, ``sigma`` and every delta
     must be finite, ``sigma`` positive, and ``delta_grid`` non-empty.
 
     The std, MAD and Shamos scales of all k subgroups are computed once per
@@ -262,15 +263,9 @@ def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
     b)`` (domain 1 is this experiment's) and merges the per-block moments
     in block order, so the worker count never changes the result.
     """
-    k = _check_int("k (subgroups)", k)
-    n = _check_int("n (subgroup size)", n)
+    k = _check_int("k (subgroups)", k, 1)
+    n = _check_int("n (subgroup size)", n, 2)
     corrupt_count = _check_int("corrupt_count", corrupt_count)
-    if k < 1:
-        raise ValueError(f"k (subgroups) must be at least 1, got {k}")
-    if n < 2:
-        raise ValueError(f"n (subgroup size) must be at least 2, got {n}")
-    if replications < 100:
-        raise ValueError("need at least 100 replications")
     if not 0 <= corrupt_count <= n:
         raise ValueError(f"corrupt_count must be in 0..{n}, got {corrupt_count}")
     if not math.isfinite(mu):

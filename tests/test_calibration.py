@@ -97,7 +97,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig("mean", (3,), master_seed=0, replications=99)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_master_seed_must_be_non_negative_integer(self, seed):
         runs = (
             lambda: simulate(SimulationConfig("mean", (3,), master_seed=seed,
@@ -338,6 +338,21 @@ class TestFitHayes:
             FitInput(points=((5.0, 1.0), (6.0, 2.0)), weights=(1.0,))
         with pytest.raises(ValueError):
             FitInput(points=((5.0, 1.0), (6.0, 2.0)), weights=(1.0, -1.0))
+
+    @pytest.mark.parametrize("points, weights, message", [
+        (((2, math.nan), (3, 1.0)), None, r"^point \(n=2.0, value=nan\) needs"),
+        (((2, 1.0), (3, -math.inf)), None, r"^point \(n=3.0, value=-inf\) needs"),
+        (((0, 1.0), (3, 1.0)), None, r"^point \(n=0.0, value=1.0\) needs"),
+        (((-2, 1.0), (3, 1.0)), None, r"^point \(n=-2.0, value=1.0\) needs"),
+        (((math.nan, 1.0), (3, 1.0)), None, r"^point \(n=nan, value=1.0\) needs"),
+        (((2, 1.0), (3, 1.0)), (1.0, math.nan),
+         r"^weight of point \(n=3.0, value=1.0\) .* got nan$"),
+        (((2, 1.0), (3, 1.0)), (math.inf, 1.0),
+         r"^weight of point \(n=2.0, value=1.0\) .* got inf$"),
+    ])
+    def test_non_finite_or_non_positive_point_is_named(self, points, weights, message):
+        with pytest.raises(ValueError, match=message):
+            FitInput(points=points, weights=weights)
 
 
 class TestFitWilliams:

@@ -72,6 +72,15 @@ class TestEstimate:
                                "--input", "/nonexistent.csv")
         assert code == 1
 
+    def test_values_near_largest_double(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1.7e308\n1.7e308\n")
+        for est, value in (("mean", "1.7e+308"), ("std", "0")):
+            code, out, _ = run_cli(capsys, "estimate", "--estimator", est,
+                                   "--input", str(path))
+            assert code == 0, est
+            assert data_lines(out)[1] == f"{est},2,{value}"
+
     def test_too_small_sample_exits_1(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("5\n")
@@ -196,6 +205,16 @@ class TestSimulateAndFit:
         row = data_lines(out)[1].split(",")
         assert float(row[2]) == pytest.approx(0.4358, rel=1e-3)
         assert float(row[3]) == pytest.approx(1.0084, rel=1e-3)
+
+    def test_fit_non_finite_value_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("n,estimate,bias,variance,normalized,mc_se,reps,seed\n"
+                        "2,0,nan,0,0,0,1,1\n3,0,0.1,0,0,0,1,1\n4,0,0.05,0,0,0,1,1\n")
+        code, out, err = run_cli(capsys, "fit", "--model", "hayes",
+                                 "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: point (n=2.0, value=nan) needs a finite n > 0 "
+                       "and a finite value\n")
 
     def test_fit_missing_column_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

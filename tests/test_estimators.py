@@ -81,6 +81,13 @@ class TestPointValues:
         assert std_dev([4, 4, 4]) == 0
         assert std_dev([0, 2], unbiased_c4=True) == pytest.approx(SQRT_PI, rel=1e-12)
 
+    def test_sum_past_largest_double(self):
+        # the exact sum overflows, the mean does not: no OverflowError
+        big = 1.7e308
+        assert mean([big, big]) == big
+        assert mean([big] * 5 + [-big]) == pytest.approx(big / 6 * 4, rel=1e-15)
+        assert std_dev([big, big]) == 0.0
+
     def test_select_kth(self):
         assert select_kth([3, 1, 2], 1) == 2
         assert select_kth([5], 0) == 5
@@ -130,6 +137,9 @@ class TestValidation:
             select_kth([1, 2], 2)
         with pytest.raises(ValueError):
             select_kth([1, 2], -1)
+        for k in (0.5, "1", True):
+            with pytest.raises(ValueError, match=rf"^k must be an integer, got {k!r}$"):
+                select_kth([1, 2], k)
 
 
 def test_select_kth_matches_sorting():
@@ -194,6 +204,17 @@ def test_permutation_invariance_exact(values, rnd):
         fns += [hl1, mad, shamos, std_dev]
     for fn in fns:
         assert fn(values) == fn(shuffled)
+
+
+def test_std_dev_keeps_the_loop_bits():
+    # the reference squares each deviation as a scalar, with pow; x * x
+    # differs from it in the last bit for some x, which these samples catch
+    rng = np.random.default_rng(3)
+    for _ in range(3000):
+        x = rng.normal(size=int(rng.integers(2, 31))) * 10.0 ** rng.integers(-5, 6)
+        mu = math.fsum(x) / x.size
+        want = math.sqrt(math.fsum((v - mu) ** 2 for v in x) / (x.size - 1))
+        assert std_dev(x).hex() == want.hex(), list(x)
 
 
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=4, max_size=4))

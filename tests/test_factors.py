@@ -4,6 +4,15 @@ from importlib import resources
 
 import pytest
 
+from robustfinite.breakdown import (
+    breakdown_hl1,
+    breakdown_hl2,
+    breakdown_hl3,
+    breakdown_median,
+    breakdown_oracle,
+    breakdown_point,
+    breakdown_table,
+)
 from robustfinite.factors import (
     MAD_BIAS_HAYES,
     MAD_BIAS_WILLIAMS,
@@ -19,6 +28,7 @@ from robustfinite.factors import (
     mad_bias,
     normalized_variance,
     relative_efficiency,
+    shamos_bias,
     unbiased_mad,
     unbiased_mad_sq,
     unbiased_shamos,
@@ -258,3 +268,18 @@ class TestVarianceModels:
         assert normalized_variance("median", 25, 0.06) == pytest.approx(1.5, rel=1e-12)
         assert normalized_variance("mad", 10, 0.1) == pytest.approx(
             0.1 / (1 - c4(10) ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [5.7, "7"])
+@pytest.mark.parametrize("call", [
+    breakdown_median, breakdown_hl1, breakdown_hl2, breakdown_hl3,
+    lambda n: breakdown_point(n, "median"), lambda n: breakdown_oracle(n, "hl1"),
+    breakdown_table, c4, c5, c6, v5, v6, mad_bias, shamos_bias, factor_set,
+    lambda n: relative_efficiency("hl2", n),
+], ids=["breakdown_median", "breakdown_hl1", "breakdown_hl2", "breakdown_hl3",
+        "breakdown_point", "breakdown_oracle", "breakdown_table", "c4", "c5", "c6",
+        "v5", "v6", "mad_bias", "shamos_bias", "factor_set", "relative_efficiency"])
+def test_sample_size_must_be_an_integer(call, value):
+    # a float is not truncated and a string is not parsed: both name the size
+    with pytest.raises(ValueError, match=rf"^n(_max)? must be an integer, got {value!r}$"):
+        call(value)

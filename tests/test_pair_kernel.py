@@ -138,3 +138,17 @@ def test_finite_sample_has_finite_median():
     assert [v.hex() for v in _row_medians(block[:, :3], "median")] == [
         big.hex(), (-big).hex()]
     assert list(_row_medians(block[:, :3], "mad")) == [0.0, 0.0]
+    # A pair sum past the largest double: the Hodges-Lehmann medians select
+    # again among the sums of halved values (numpy warns of the first fill).
+    with np.errstate(over="ignore"):
+        assert est.hl2([big]) == est.hl3([big]) == est.hl1([big, big]) == big
+        # the 3rd and 4th of the six averages, whose sum overflows too
+        lo, hi = 0.5 * big + 0.5 * 1.0, 0.5 * 1.5e308 + 0.5 * big
+        assert est.hl1([1.5e308, big, big, 1.0]).hex() == (0.5 * lo + 0.5 * hi).hex()
+        block = np.array([[big, big, 1.5e308], [1.0, -big, -big]])
+        assert [v.hex() for v in _row_medians(block, "hl1")] == [
+            (0.5 * big + 0.5 * 1.5e308).hex(), (0.5 * (1.0 - big)).hex()]
+        for kind in ("hl2", "hl3"):
+            got = _row_medians(block, kind)
+            assert np.isfinite(got).all(), kind
+            assert [v.hex() for v in got] == [SCALAR[kind](x).hex() for x in block]

@@ -294,6 +294,9 @@ class TestContaminationExperiment:
         (dict(n=4.5), r"^n \(subgroup size\) must be an integer, got 4.5$"),
         (dict(corrupt_count=0.5), r"^corrupt_count must be an integer, got 0.5$"),
         (dict(replications=150.5), r"^replications must be an integer, got 150.5$"),
+        (dict(replications=99), r"^replications must be at least 100, got 99$"),
+        (dict(replications="200"), r"^replications must be an integer, got '200'$"),
+        (dict(k=True), r"^k \(subgroups\) must be an integer, got True$"),
     ])
     def test_invalid_input_is_named(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
