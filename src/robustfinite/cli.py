@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 data error (message names the offending input),
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 from . import __version__, breakdown, calibration, estimators, factors, spc
@@ -128,12 +129,10 @@ def _cmd_simulate(args) -> None:
 
 
 def _read_fit_points(path: str, column: str) -> list[tuple[float, float]]:
-    import csv as _csv
-
     points = []
     try:
         with open(path, newline="") as f:
-            reader = _csv.DictReader(r for r in f if not r.lstrip().startswith("#"))
+            reader = csv.DictReader(r for r in f if not r.lstrip().startswith("#"))
             if reader.fieldnames is None or "n" not in reader.fieldnames \
                     or column not in reader.fieldnames:
                 raise ValueError(f"{path}: need columns 'n' and {column!r}")

@@ -22,6 +22,11 @@ the scalar functions are 1-row calls of it, and the simulator and the
 control charts call it on blocks through ``_row_estimates``.  It selects in
 one reused buffer of about 2 MB per chunk of rows: O(n) memory per row for
 the median and the MAD, O(n^2) for the pairwise estimators.
+
+The mean and the standard deviation have two kernels: ``math.fsum`` for one
+sample in the scalar API, and numpy's row reductions for a block in
+``_row_estimates``, which the simulator and the control charts call.  The
+two may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -101,6 +106,12 @@ class Estimator(str, enum.Enum):
 NORMAL_Q3 = 0.6744897501960817
 MAD_SCALE = 1.0 / NORMAL_Q3                             # ~1.4826
 PAIR_DIFF_SCALE = 1.0 / (math.sqrt(2.0) * NORMAL_Q3)    # ~1.048358
+
+# The Euclidean norm of a sample bounds every |x_i|.  Below _SAFE_SUMS no
+# pair sum x_i + x_j passes the largest double; below _SAFE_SQUARES no
+# deviation from the mean, its square or the sum of the squares does.
+_SAFE_SUMS = 2.0 ** 1022
+_SAFE_SQUARES = 2.0 ** 510
 
 # Estimators whose value is a median over pairs of observations.
 _PAIRWISE = (Estimator.SHAMOS, Estimator.HL1, Estimator.HL2, Estimator.HL3)
@@ -363,7 +374,12 @@ def hodges_lehmann(values: Iterable[float], variant: str = "hl1") -> float:
         raise ValueError(f"unknown Hodges-Lehmann variant: {variant!r}")
     arr = _as_sample(values, _MIN_N[variant])
     _check_pair_limit(variant, arr.size)
-    return _row_medians(arr[None, :], variant).item()
+    if math.hypot(*arr.tolist()) < _SAFE_SUMS:
+        return _row_medians(arr[None, :], variant).item()
+    # a pair sum may pass the largest double, and the kernel then selects
+    # again among the sums of halved values
+    with np.errstate(over="ignore"):
+        return _row_medians(arr[None, :], variant).item()
 
 
 def hl1(values: Iterable[float]) -> float:
@@ -406,18 +422,33 @@ def shamos(values: Iterable[float], consistent: bool = True) -> float:
     return raw * PAIR_DIFF_SCALE if consistent else raw
 
 
-def std_dev(values: Iterable[float], unbiased_c4: bool = False) -> float:
-    """Sample standard deviation (n-1 denominator).
-
-    With ``unbiased_c4=True`` the result is divided by c4(n) so its
-    expectation is sigma under a normal population.
-    """
-    arr = _as_sample(values, _MIN_N["std"])
+def _sample_sd(arr: np.ndarray) -> float:
+    """Standard deviation (n-1 denominator) of one sample, summed exactly."""
     dev = arr - _fsum_mean(arr, arr.size)
     # squared with libm's pow, as ``d ** 2`` of each scalar is: ``dev * dev``
     # (an array's ``dev ** 2``) differs from it in the last bit for a few
     # values, and the scalar loop is the reference
-    s = math.sqrt(_fsum_mean(np.float_power(dev, 2.0), arr.size - 1))
+    return math.sqrt(_fsum_mean(np.float_power(dev, 2.0), arr.size - 1))
+
+
+def std_dev(values: Iterable[float], unbiased_c4: bool = False) -> float:
+    """Sample standard deviation (n-1 denominator).
+
+    With ``unbiased_c4=True`` the result is divided by c4(n) so its
+    expectation is sigma under a normal population.  The result is finite
+    whenever the standard deviation is, even past a variance of the
+    largest double, as for ``[1e200, -1e200, 0.0]``.
+    """
+    arr = _as_sample(values, _MIN_N["std"])
+    if math.hypot(*arr.tolist()) < _SAFE_SQUARES:
+        s = _sample_sd(arr)
+    else:
+        with np.errstate(over="ignore"):
+            s = _sample_sd(arr)
+        if s == math.inf:
+            # the variance passed the largest double, though the standard
+            # deviation may not: compute it for the data scaled by 2**-600
+            s = _sample_sd(arr * 2.0 ** -600) * 2.0 ** 600
     if unbiased_c4:
         from .factors import c4
 

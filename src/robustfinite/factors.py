@@ -185,18 +185,21 @@ _VARIANCE_MODELS = {
 
 
 def variance_model_eval(estimator: Estimator | str, n: float) -> float:
-    """Fitted normalized variance for n > 100 (n may be ``math.inf``).
+    """Fitted normalized variance for an integer n > 100 (n may be
+    ``math.inf``).
 
     Returns n*Var for location estimators and Var/(1 - c4(n)^2) for scale
     estimators, per the published models.
     """
     est = Estimator(estimator)
+    if n != math.inf:
+        n = _check_int("n", n)
     if not n > TABLE_N_MAX:
         raise ValueError(f"variance models apply for n > {TABLE_N_MAX}, got {n}")
     key = (est.value, None)
     if key not in _VARIANCE_MODELS:
         # parity-split models; at n = inf the 1/n terms vanish either way
-        parity = 1 if math.isinf(n) else int(n) % 2
+        parity = 1 if math.isinf(n) else n % 2
         key = (est.value, parity)
     if key not in _VARIANCE_MODELS:
         raise ValueError(f"no variance model for {est}")

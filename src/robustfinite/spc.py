@@ -10,6 +10,10 @@ observation and tracking bias/variance/MSE of the three-sigma estimate.
 A shift moves only the corrupted subgroup, so each replication block
 computes the clean subgroups' scales once and recomputes only that
 subgroup for every delta.
+
+Every subgroup mean and scale is a row of ``_row_estimates``: numpy's row
+sums for the mean and the standard deviation (the scalar API sums exactly,
+so the two may differ in the last bit), the shared median kernel else.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import numpy as np
 
 from .calibration import _CONTAMINATION_DOMAIN, _Moments, _run_blocks
 from .estimators import Estimator, _check_int, _row_estimates
-from .estimators import std_dev as _std
 from .factors import c4, c5, c6
 
 __all__ = [
@@ -40,6 +43,10 @@ __all__ = [
     "EXPERIMENT_METHODS",
 ]
 
+# Each subgroup scale: its row estimator and the factor that unbiases it at
+# the normal.  A chart method is named "<scale>-<factor>".
+_SCALES = {"std": (Estimator.STD, c4), "mad": (Estimator.MAD, c5),
+           "shamos": (Estimator.SHAMOS, c6)}
 CHART_METHODS = ("std-c4", "mad-c5", "shamos-c6")
 
 # raw/unbiased pairs measured by the contamination experiment
@@ -88,11 +95,11 @@ class SubgroupSeries:
 
     @cached_property
     def means(self) -> np.ndarray:
-        return self.data.mean(axis=1)
+        return _row_estimates(Estimator.MEAN, self.data)
 
     @cached_property
     def stds(self) -> np.ndarray:
-        return np.array([_std(row) for row in self.data])
+        return _row_estimates(Estimator.STD, self.data)
 
     @cached_property
     def mads(self) -> np.ndarray:
@@ -122,12 +129,9 @@ def chart_limits(series: SubgroupSeries, method: str = "std-c4") -> ChartLimits:
     if method not in CHART_METHODS:
         raise ValueError(f"method must be one of {CHART_METHODS}, got {method!r}")
     n = series.n
-    if method == "std-c4":
-        half = a3(n) * float(series.stds.mean())
-    elif method == "mad-c5":
-        half = a5(n) * float(series.mads.mean())
-    else:
-        half = a6(n) * float(series.shamoses.mean())
+    estimator, unbias = _SCALES[method.partition("-")[0]]
+    scales = _row_estimates(estimator, series.data)
+    half = 3.0 / (unbias(n) * math.sqrt(n)) * float(scales.mean())
     center = float(series.means.mean())
     return ChartLimits(
         center=center,
@@ -177,38 +181,30 @@ def read_subgroups(path) -> SubgroupSeries:
 # contamination experiment
 
 
-def _subgroup_scales(data: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Std, MAD and Shamos scale of every subgroup of a (reps, k, n) array,
-    each as a (reps, k) array.  Each subgroup's scales depend on its own
-    n values only."""
+def _subgroup_scales(data: np.ndarray) -> list[np.ndarray]:
+    """Each scale of _SCALES of every subgroup of a (reps, k, n) array, as a
+    (reps, k) array.  A subgroup's scales depend on its own n values only."""
     reps, k, n = data.shape
     rows = data.reshape(-1, n)
-    return (data.std(axis=2, ddof=1),
-            _row_estimates(Estimator.MAD, rows).reshape(reps, k),
-            _row_estimates(Estimator.SHAMOS, rows).reshape(reps, k))
+    return [_row_estimates(estimator, rows).reshape(reps, k)
+            for estimator, _ in _SCALES.values()]
 
 
-def _estimates_from_scales(n: int, std: np.ndarray, mad: np.ndarray,
-                           shamos: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-replication three-sigma estimates from (reps, k) subgroup scales,
-    one entry per method in EXPERIMENT_METHODS."""
-    s_bar = std.mean(axis=1)
-    mad_bar = mad.mean(axis=1)
-    sh_bar = shamos.mean(axis=1)
-    return {
-        "std": 3.0 * s_bar,
-        "unbiased-std": 3.0 * s_bar / c4(n),
-        "mad": 3.0 * mad_bar,
-        "unbiased-mad": 3.0 * mad_bar / c5(n),
-        "shamos": 3.0 * sh_bar,
-        "unbiased-shamos": 3.0 * sh_bar / c6(n),
-    }
+def _estimates_from_scales(n: int, scales: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """Per-replication three-sigma estimates from the (reps, k) subgroup
+    scales of _subgroup_scales, one entry per method in EXPERIMENT_METHODS."""
+    out = {}
+    for (name, (_, unbias)), scale in zip(_SCALES.items(), scales):
+        s_bar = scale.mean(axis=1)
+        out[name] = 3.0 * s_bar
+        out[f"unbiased-{name}"] = 3.0 * s_bar / unbias(n)
+    return out
 
 
 def _three_sigma_estimates(data: np.ndarray) -> dict[str, np.ndarray]:
     """Per-replication three-sigma estimates for a (reps, k, n) array,
     computed from scratch."""
-    return _estimates_from_scales(data.shape[2], *_subgroup_scales(data))
+    return _estimates_from_scales(data.shape[2], _subgroup_scales(data))
 
 
 def _experiment_block(rng: np.random.Generator, size: int, k: int, n: int,
@@ -227,10 +223,10 @@ def _experiment_block(rng: np.random.Generator, size: int, k: int, n: int,
         if d != 0.0 and corrupt_count:
             first = base[:, :1].copy()
             first[:, 0, :corrupt_count] += d
-            scales = tuple(s.copy() for s in clean)
+            scales = [s.copy() for s in clean]
             for s, column in zip(scales, _subgroup_scales(first)):
                 s[:, :1] = column
-        out += [_Moments.of(est) for est in _estimates_from_scales(n, *scales).values()]
+        out += [_Moments.of(est) for est in _estimates_from_scales(n, scales).values()]
     return out
 
 

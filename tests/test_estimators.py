@@ -20,6 +20,7 @@ from robustfinite.estimators import (
     std_dev,
 )
 from robustfinite.factors import (
+    c4,
     unbiased_mad,
     unbiased_mad_sq,
     unbiased_shamos,
@@ -87,6 +88,31 @@ class TestPointValues:
         assert mean([big, big]) == big
         assert mean([big] * 5 + [-big]) == pytest.approx(big / 6 * 4, rel=1e-15)
         assert std_dev([big, big]) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_std_dev_past_largest_variance(self):
+        # the variance passes the largest double, the standard deviation
+        # does not: finite, and no RuntimeWarning
+        for x, sd in (([1e154, -1e154], math.sqrt(2) * 1e154),
+                      ([1e200, -1e200, 0.0], 1e200),
+                      ([1.7e308, -1e308, -1e308], math.sqrt(2.43) * 1e308)):
+            assert std_dev(x) == pytest.approx(sd, rel=1e-15)
+            assert std_dev(x, unbiased_c4=True) == pytest.approx(sd / c4(len(x)), rel=1e-15)
+        assert std_dev([1.7e308, -1.7e308]) == math.inf
+        assert std_dev([1.7e308, -1.7e308], unbiased_c4=True) == math.inf
+        # a finite variance keeps the bits of the scalar loop
+        for x in ([1e160, 1e160], [1.5e154, 1.2e154, 1.4e154], [3e153, -2e153, 1.0]):
+            mu = math.fsum(x) / len(x)
+            want = math.sqrt(math.fsum((v - mu) ** 2 for v in x) / (len(x) - 1))
+            assert std_dev(x).hex() == want.hex()
+
+    @pytest.mark.filterwarnings("error")
+    def test_hodges_lehmann_near_largest_double_does_not_warn(self):
+        big = 1.7e308
+        assert hl2([big]) == hl3([big]) == hl1([big, big]) == big
+        assert hl1([1.5e308, big, big, 1.0]) == pytest.approx(1.225e308, rel=1e-15)
+        assert hl2([-big, -big, 1.0]) == pytest.approx(-0.75 * big, rel=1e-15)
+        assert hl3([-big, -big, 1.0]) == pytest.approx(-0.5 * big, rel=1e-15)
 
     def test_select_kth(self):
         assert select_kth([3, 1, 2], 1) == 2

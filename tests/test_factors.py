@@ -261,6 +261,8 @@ class TestVarianceModels:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             variance_model_eval("median", 100)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 101.5$"):
+            variance_model_eval("median", 101.5)
         with pytest.raises(ValueError):
             variance_model_eval("mean", 200)
 

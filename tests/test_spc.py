@@ -7,6 +7,7 @@ from robustfinite import spc
 from robustfinite.calibration import BLOCK_SIZE, _block_rng, _Moments
 from robustfinite.estimators import mad as scalar_mad
 from robustfinite.estimators import shamos as scalar_shamos
+from robustfinite.estimators import std_dev as scalar_std
 from robustfinite.factors import c4, c5, c6
 from robustfinite.spc import (
     CHART_METHODS,
@@ -81,6 +82,23 @@ class TestSubgroupSeries:
             limits = chart_limits(s, method)
             assert limits.ucl == float(s.means.mean()) + half
             assert limits.three_sigma == math.sqrt(s.n) * half
+
+    def test_std_chart_limits_match_scalar_loop(self):
+        # the chart's row standard deviations sum with numpy, the scalar
+        # std_dev exactly: the limits agree to the last bits
+        rng = np.random.default_rng(17)
+        for k, n in [(1, 5), (1, 2), (30, 2), (40, 7), (200, 5), (25, 30)]:
+            for scale in (1e-3, 1.0, 1e4):
+                z = rng.normal(size=(k, n))
+                z[::3] = np.round(z[::3], 1)  # ties
+                s = SubgroupSeries(50.0 + scale * z)
+                half = a3(n) * float(np.array([scalar_std(row) for row in s.data]).mean())
+                limits = chart_limits(s, "std-c4")
+                center = float(s.means.mean())
+                assert limits.center == center
+                for got, want in ((limits.ucl, center + half), (limits.lcl, center - half),
+                                  (limits.three_sigma, math.sqrt(n) * half)):
+                    assert abs(got - want) <= 1e-15 * abs(want), (k, n, scale)
 
 
 class TestChartLimits:
@@ -230,8 +248,9 @@ class TestContaminationExperiment:
         size, k, n = 300, 10, 5
         _experiment_block(_block_rng(1, 1, k * n, 0), size, k, n, 5.0, 1.0,
                           (0.0, 10.0, -0.0, 20.0), 1)
-        # MAD and Shamos: size*k clean rows once, then size rows per nonzero delta
-        assert rows == [size * k] * 2 + [size] * 4
+        # std, MAD and Shamos: size*k clean rows once, then size rows per
+        # nonzero delta
+        assert rows == [size * k] * 3 + [size] * 6
 
     @pytest.mark.parametrize("name, value", [("k", 0), ("k", -2), ("n", 1), ("n", 0)])
     def test_too_few_subgroups_or_observations(self, name, value):
