@@ -72,14 +72,17 @@ def resolve_worker_count(worker_count: int | str | None = "auto") -> int:
         if not env:
             return os.cpu_count() or 1
         worker_count, source = env, WORKERS_ENV_VAR
-    try:
-        count = int(worker_count)
-    except ValueError:
-        count = None
-    if count is None or count < 1:
+    count = worker_count
+    if isinstance(count, str):
+        try:
+            count = int(count)
+        except ValueError:
+            pass
+    # a float or a bool is not a count, though int() would take it
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"{source} must be an integer of at least 1, "
                          f"got {worker_count!r}")
-    return count
+    return int(count)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,8 @@ class SimulationConfig:
         _check_int("replications", self.replications, _MIN_REPLICATIONS)
         for n in self.n_values:
             _validate_estimator_n(self.estimator, n)
+        if self.worker_count not in (None, "auto"):
+            resolve_worker_count(self.worker_count)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,13 @@ share one median kernel, ``_row_medians``, over the rows of a 2-d array:
 the scalar functions are 1-row calls of it, and the simulator and the
 control charts call it on blocks through ``_row_estimates``.  It selects in
 one reused buffer of about 2 MB per chunk of rows: O(n) memory per row for
-the median and the MAD, O(n^2) for the pairwise estimators.
+the median and the MAD, O(n^2) for the pairwise estimators.  Those sort each
+row and form only the pairs whose rank bounds leave them within reach of
+the two middle ranks, as X + Y selection (Johnson and Mizoguchi 1978) and
+the fast Qn and Sn (Croux and Rousseeuw 1992) do: about 45% of the values
+of the Hodges-Lehmann variants (for hl3, of its n^2 ordered pairs) and 90%
+of those of shamos.  Only rows too long to share the buffer are filled
+range by range, without index arrays.
 
 The mean and the standard deviation have two kernels: ``math.fsum`` for one
 sample in the scalar API, and numpy's row reductions for a block in
@@ -34,7 +40,7 @@ from __future__ import annotations
 import enum
 import math
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -53,10 +59,12 @@ __all__ = [
     "PAIR_LIMIT",
 ]
 
-# Pairwise estimators still hold all O(n^2) pairs of one row at once (a
-# chunk of rows shares one buffer of _BUFFER_PAIRS pairs, but a single row
-# larger than that gets a buffer of its own); beyond this the memory cost is
-# unreasonable and callers get an explicit size-limit error.
+# Pairwise estimators hold the pairs of one row that can be a middle value
+# at once, about 45% of the n(n-1)/2 pairs for hl1 and hl2, of the n^2 for
+# hl3, and 90% for shamos (a chunk of rows shares one buffer of
+# _BUFFER_PAIRS values, but a single row larger than that gets a buffer of
+# its own); beyond this the memory cost is unreasonable and callers get an
+# explicit size-limit error.
 PAIR_LIMIT = 10_000
 
 # Values (pairs, for the pairwise estimators) per chunk buffer: 2 MB of
@@ -113,6 +121,12 @@ PAIR_DIFF_SCALE = 1.0 / (math.sqrt(2.0) * NORMAL_Q3)    # ~1.048358
 _SAFE_SUMS = 2.0 ** 1022
 _SAFE_SQUARES = 2.0 ** 510
 
+# The mean of n copies of v, a sum divided by n, need not be v, so the
+# standard deviation of a constant sample can come out as a few ulps of v.
+# Only a standard deviation this small relative to the first value asks
+# whether the sample is constant, and is then exactly 0.
+_TIES = 2.0 ** -40
+
 # Estimators whose value is a median over pairs of observations.
 _PAIRWISE = (Estimator.SHAMOS, Estimator.HL1, Estimator.HL2, Estimator.HL3)
 
@@ -157,18 +171,11 @@ def select_kth(values: Iterable[float], k: int) -> float:
     if not 0 <= k < arr.size:
         raise ValueError(f"k={k} out of range for sample of size {arr.size}")
     value = float(np.partition(arr, k)[k])
-    return _zero_at_rank(arr, k) if value == 0 else value
-
-
-def _zero_at_rank(values: np.ndarray, k: int) -> float:
-    """The zero at rank k (0-based) when -0.0 ranks before +0.0.
-
-    Partitioning treats -0.0 and +0.0 as equal and may return either, so
-    the sign is counted instead: -0.0 when more than k values are negative
-    or -0.0.
-    """
-    below = np.count_nonzero(values < 0) + np.count_nonzero(np.signbit(values) & (values == 0))
-    return -0.0 if k < below else 0.0
+    if value == 0:
+        # partitioning treats -0.0 and +0.0 as equal and may return either,
+        # so the sign is counted instead, -0.0 ranking before +0.0
+        return -0.0 if k < _negatives(arr, "median") else 0.0
+    return value
 
 
 def _fsum_mean(values: np.ndarray, divisor: int) -> float:
@@ -203,44 +210,168 @@ def _check_pair_limit(name: str, n: int) -> None:
         )
 
 
-@lru_cache(maxsize=32)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column indices (i, j) of the pairs i < j, followed by the diagonal
-    i == j that hl2 adds.  Only asked for while one row's pairs fit the
-    buffer, so an entry is at most about 4 MB."""
-    i, j = np.triu_indices(n, k=1)
-    d = np.arange(n)
-    return np.concatenate([i, d]), np.concatenate([j, d])
+def _pair_counts(kind: str, n: int, i: np.ndarray, j: np.ndarray):
+    """(P, S) of the pairs (i, j), i <= j, of a sorted row of n values: how
+    many of the kind's values are certainly <= and certainly >= the pair's,
+    each counting the pair itself once.  hl3 takes each pair i < j twice,
+    and the twin (j, i), equal to the pair, counts on neither side."""
+    if kind == "shamos":
+        g = j - i
+        return g * (g + 1) // 2, (i + 1) * (n - j)
+    if kind == "hl1":
+        return ((i + 1) * j - i * (i + 1) // 2,
+                (j - i) * (n - j) + (n - j) * (n - j - 1) // 2)
+    if kind == "hl2":
+        return ((i + 1) * (j + 1) - i * (i + 1) // 2,
+                (j - i) * (n - j) + (n - j) * (n - j + 1) // 2)
+    twin = i < j
+    return (i + 1) * (2 * j - i + 1) - twin, (n - j) * (n + j - 2 * i) - twin
 
 
-def _fill_pairs(rows: np.ndarray, kind: str, out: np.ndarray) -> None:
-    """Write the values whose median is taken of each row into the same row
-    of ``out``: the row itself for median and mad, ``S[j] - S[i]`` (i < j)
-    of sorted rows for shamos, and for the Hodges-Lehmann variants the pair
-    sums ``x_i + x_j`` (i < j for hl1, then the diagonal for hl2, every
-    ordered pair for hl3), not yet halved.
+class _PairPlan(NamedTuple):
+    """The pairs ``_row_medians`` forms of a sorted row, and the ranks of the
+    two middle values among them."""
+
+    kind: str
+    size: int                 # values formed per row, hl3's twins twice
+    ranks: tuple[int, int]    # ranks of the two middle values among them
+    middle: int               # rank of the upper one among all the values
+    starts: np.ndarray        # pairs (i, j), i < j, formed for
+    stops: np.ndarray         # starts[i] <= j < stops[i]
+    diagonal: range           # pairs (i, i) formed, for hl2 and hl3
+    index: tuple | None       # _pair_index(plan), while it is small
+
+
+# A plan of at most this many values caches its index, 512 KB of indices,
+# so the 256 plans hold at most 128 MB; larger ones are built once per
+# ``_row_medians`` call.
+_CACHED_INDEX = 1 << 15
+
+
+@lru_cache(maxsize=256)
+def _pair_plan(n: int, kind: str) -> _PairPlan:
+    """The pairs of a sorted row of n values that can be one of the two
+    middle values of the pairwise ``kind``'s multiset of m values.
+
+    Pair values grow along both indices of a sorted row, and rounding is
+    monotone, so a pair's value is at least that of each pair it dominates.
+    A pair with P > m // 2 + 1 (see ``_pair_counts``) ranks above both
+    middle values, one with S > m - (m - 1) // 2 below them.  The middle
+    values are those of the pairs kept, at ranks lowered by the number of
+    values dropped below: the bound behind X + Y selection (Johnson and
+    Mizoguchi 1978) and the fast Qn and Sn (Croux and Rousseeuw 1992).
+    For each i the kept j form one range, found by bisection, so the plan is
+    O(n); the cache holds every (n, kind) of a typical session.
     """
-    if kind in ("median", "mad"):
+    first = 1 if kind in ("shamos", "hl1") else 0
+    m = {"shamos": n * (n - 1) // 2, "hl1": n * (n - 1) // 2,
+         "hl2": n * (n + 1) // 2, "hl3": n * n}[kind]
+    lo_rank, hi_rank = (m - 1) // 2, m // 2
+    i = np.arange(n)
+
+    def first_j(cond):
+        # the smallest j >= i + first with cond(j), n if none (cond holds
+        # from some j on)
+        lo, hi = i + first, np.full(n, n)
+        while np.count_nonzero(lo < hi):
+            mid = (lo + hi) // 2
+            ok = cond(mid) | (lo == hi)
+            lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
+        return lo
+
+    starts = first_j(lambda j: _pair_counts(kind, n, i, j)[1] <= m - lo_rank)
+    stops = first_j(lambda j: _pair_counts(kind, n, i, j)[0] > hi_rank + 1)
+    below = starts - i - first
+    if kind == "hl3":
+        below = 2 * below - (below > 0)
+    shift = int(below.sum())
+    diagonal = range(0)
+    if not first:
+        kept = np.flatnonzero((starts == i) & (stops > i))
+        if kept.size:
+            diagonal = range(kept[0], kept[-1] + 1)
+        starts = np.maximum(starts, i + 1)
+        stops = np.maximum(stops, starts)
+    size = int((stops - starts).sum()) * (2 if kind == "hl3" else 1) + len(diagonal)
+    plan = _PairPlan(kind, size, (lo_rank - shift, hi_rank - shift), hi_rank,
+                     starts, stops, diagonal, None)
+    if size <= _CACHED_INDEX:
+        plan = plan._replace(index=_pair_index(plan))
+    # every caller gets these arrays from the cache
+    for a in (starts, stops, *(plan.index or ())):
+        a.flags.writeable = False
+    return plan
+
+
+def _pair_index(plan: _PairPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How many values a plan forms with each x_i as first operand, and the
+    columns (i, j) of their operands, grouped by i: the diagonal pair (i, i)
+    if formed, then the pairs i < j, twice for hl3: about 45% of the values
+    of the Hodges-Lehmann variants (for hl3, of its n^2 ordered pairs) and
+    90% of those of shamos.  Only asked for while one row's values fit the
+    buffer, so the columns take at most 4 MB."""
+    n = plan.starts.size
+    pairs = plan.stops - plan.starts
+    diagonal = np.zeros(n, dtype=np.intp)
+    diagonal[plan.diagonal.start:plan.diagonal.stop] = 1
+    counts = diagonal + pairs * (2 if plan.kind == "hl3" else 1)
+    i = np.repeat(np.arange(n), counts)
+    # place among the pairs i < j of i, -1 for the diagonal one
+    at = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts + diagonal, counts)
+    return counts, i, np.where(at < 0, i, plan.starts[i] + at % np.maximum(pairs, 1)[i])
+
+
+def _fill_pairs(rows: np.ndarray, plan: _PairPlan | None, index,
+                out: np.ndarray) -> None:
+    """Write the values whose median is taken of each row into the same row
+    of ``out``: the row itself for median and mad, and for the pairwise
+    kinds the values of ``plan``'s pairs of sorted rows, ``S[j] - S[i]`` for
+    shamos and the sums ``S[i] + S[j]``, not yet halved, for the
+    Hodges-Lehmann variants.  ``index`` is ``_pair_index(plan)``, or None
+    for a row too long to share the buffer, which is filled range by range:
+    the pairs i < j, again for hl3, then the diagonal.
+    """
+    if plan is None:
         out[...] = rows
         return
-    r, n = rows.shape
-    m = out.shape[1]
-    if kind == "hl3":
-        np.add(rows[:, :, None], rows[:, None, :], out=out.reshape(r, n, n))
+    op = np.subtract if plan.kind == "shamos" else np.add
+    if index is not None:
+        counts, i, j = index
+        if len(rows) == 1:
+            # one row, as from the scalar API: indexing it costs less than
+            # take and repeat, which are faster on many rows
+            row = rows[0]
+            op(row[j], row[i], out=out[0])
+        else:
+            np.take(rows, j, axis=1, out=out, mode="clip")
+            op(out, np.repeat(rows, counts, axis=1), out=out)
         return
-    op = np.subtract if kind == "shamos" else np.add
-    if m <= _BUFFER_PAIRS:
-        i, j = _pair_index(n)
-        np.take(rows, j[:m], axis=1, out=out, mode="clip")
-        op(out, np.take(rows, i[:m], axis=1, mode="clip"), out=out)
-    else:
-        # a row this long fills a chunk alone and gets no index arrays
-        at = 0
-        for i in range(n - 1):
-            op(rows[:, i + 1:], rows[:, i, None], out=out[:, at:at + n - 1 - i])
-            at += n - 1 - i
-        if kind == "hl2":
-            np.add(rows, rows, out=out[:, at:])
+    at = 0
+    for i, (lo, hi) in enumerate(zip(plan.starts.tolist(), plan.stops.tolist())):
+        op(rows[:, lo:hi], rows[:, i, None], out=out[:, at:at + hi - lo])
+        at += hi - lo
+    if plan.kind == "hl3":
+        out[:, at:2 * at] = out[:, :at]
+        at *= 2
+    d = slice(plan.diagonal.start, plan.diagonal.stop)
+    np.add(rows[:, d], rows[:, d], out=out[:, at:])
+
+
+def _negatives(row: np.ndarray, kind: str) -> int:
+    """How many of the values whose median ``kind`` takes are negative or
+    -0.0: the observations for "median", the pair sums for the
+    Hodges-Lehmann variants.  Counted on the observations, as a sum is
+    negative exactly when x_i < -x_j, and -0.0 only as -0.0 + -0.0."""
+    negative = int(np.count_nonzero(row < 0))
+    z = int(np.count_nonzero(np.signbit(row) & (row == 0)))
+    if kind == "median":
+        return negative + z
+    s = np.sort(row)
+    ordered = int(np.searchsorted(s, -s).sum())  # pairs (i, j), i == j too
+    if kind == "hl3":
+        return ordered + z * z
+    distinct = (ordered - negative) // 2 + z * (z - 1) // 2
+    return distinct + negative + z if kind == "hl2" else distinct
 
 
 def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
@@ -248,23 +379,25 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
     itself for "median", ``|x_i - median|`` for "mad" and ``|x_i - x_j|``
     for "shamos" (both unscaled), ``0.5 * (x_i + x_j)`` for "hl1", "hl2"
     and "hl3".  Each is the midpoint median of ``_select_medians``, with -0.0
-    ranked before +0.0.  Rows are handled in chunks whose values fill one
-    reused buffer, selected in place.
+    ranked before +0.0.  The pairwise kinds sort each row and form only the
+    pairs ``_pair_plan`` keeps.  Rows are handled in chunks whose values
+    fill one reused buffer, selected in place.
     """
     rows, n = block.shape
-    upper = n * (n - 1) // 2
-    m = (n if kind in ("median", "mad") else n * n if kind == "hl3"
-         else upper + n if kind == "hl2" else upper)
     hl = kind in ("hl1", "hl2", "hl3")
     # Halving is monotone, so the Hodges-Lehmann sums are selected and only
     # the two middle ones halved: the same doubles as halving every pair.
     half = 0.5 if hl else 1.0
-    # Differences need sorted rows, except the one difference of n = 2,
-    # whose absolute value is the same either way.  Sums need no sorting,
-    # but the sums of a sorted row too long to share the buffer partition
-    # about three times faster.  The median and the MAD stay O(n).
     raw = block
-    if (kind == "shamos" and n > 2) or (hl and m > _BUFFER_PAIRS):
+    if kind in ("median", "mad"):
+        plan, index = None, None
+        m, ranks, middle = n, ((n - 1) // 2, n // 2), n // 2
+    else:
+        plan = _pair_plan(n, kind)
+        m, ranks, middle = plan.size, plan.ranks, plan.middle
+        index = plan.index
+        if index is None and m <= _BUFFER_PAIRS:
+            index = _pair_index(plan)
         block = np.sort(block, axis=1)
     step = _BUFFER_PAIRS // m or 1
     buf = np.empty((min(rows, step), m))
@@ -273,56 +406,55 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
         chunk = block[start:start + step]
         pairs = buf[:len(chunk)]
         medians = out[start:start + len(chunk)]
-        _fill_pairs(chunk, kind, pairs)
+        _fill_pairs(chunk, plan, index, pairs)
         if kind == "mad":
             # deviations from the median, in place: none is -0.0 after abs,
             # so the sign of a zero median does not matter
-            _select_medians(pairs, 1.0, medians)
+            _select_medians(pairs, ranks, 1.0, medians)
             pairs -= medians[:, None]
             np.abs(pairs, out=pairs)
-        zeros, infinite = _select_medians(pairs, half, medians)
+        zeros, infinite = _select_medians(pairs, ranks, half, medians)
         if hl:
             # a middle pair sum passed the largest double, though its half
             # does not: select again among the sums of halved values
             for r in infinite:
                 again = pairs[r:r + 1]
-                _fill_pairs(0.5 * raw[start + r:start + r + 1], kind, again)
-                _select_medians(again, 1.0, medians[r:r + 1])
+                _fill_pairs(0.5 * chunk[r:r + 1], plan, index, again)
+                _select_medians(again, ranks, 1.0, medians[r:r + 1])
         if kind == "median" or hl:
             # Sorting and partitioning treat -0.0 and +0.0 as equal and may
-            # write either for the other, so a median of zeros is ranked on
-            # values formed afresh from the unsorted row.  A halved sum is
-            # negative or -0.0 exactly when the sum is.
+            # write either for the other, so a median of zeros is ranked by
+            # counting the negative values of the unsorted row.  A halved
+            # sum is negative or -0.0 exactly when the sum is.
             for r in zeros:
-                again = pairs[r:r + 1]
-                _fill_pairs(raw[start + r:start + r + 1], kind, again)
-                medians[r] = _zero_at_rank(again, m // 2)
+                medians[r] = -0.0 if middle < _negatives(raw[start + r], kind) else 0.0
     # |x_i - x_j| is never -0.0, but +0.0 - -0.0 of sorted values can be
     return np.abs(out, out=out) if kind == "shamos" else out
 
 
-def _select_medians(values: np.ndarray, half: float, out: np.ndarray):
-    """Write each row's median into ``out``: the middle value, or ``0.5 *
-    (lo + hi)`` of the two middle values, each scaled by ``half``; return
-    the rows whose middle values are zeros and the rows whose median is
-    infinite.  Reorders the rows in place.  ``lo + hi`` overflows only when
-    both exceed half the largest double, and then ``0.5 * lo + 0.5 * hi`` is
-    the same correctly rounded midpoint; the median stays infinite only
-    when a middle value is."""
+def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
+                    out: np.ndarray):
+    """Write each row's median into ``out``: the value at the two equal
+    ``ranks``, or ``0.5 * (lo + hi)`` of the values at the two ranks, each
+    scaled by ``half``; return the rows whose middle values are zeros and
+    the rows whose median is infinite.  Reorders the rows in place.  ``lo +
+    hi`` overflows only when both exceed half the largest double, and then
+    ``0.5 * lo + 0.5 * hi`` is the same correctly rounded midpoint; the
+    median stays infinite only when a middle value is."""
     rows, m = values.shape
-    k = m // 2
+    low, k = ranks
     if rows == 1:
         # one row, as from the scalar API: Python floats cost less than
         # 1-element arrays, and numpy sorts a short row faster than it
         # selects in it
         if m <= _SHORT_ROW:
             values.sort()
-            lo = values.item(0, (m - 1) // 2)
+            lo = values.item(0, low)
         else:
             values.partition(k, axis=1)
-            lo = values.item(0, k) if m % 2 else values[0, :k].max().item()
+            lo = values.item(0, k) if low == k else values[0, :k].max().item()
         lo, hi = half * lo, half * values.item(0, k)
-        mid = hi if m % 2 else 0.5 * (lo + hi)
+        mid = hi if low == k else 0.5 * (lo + hi)
         if abs(mid) == math.inf:
             out[0] = mid = 0.5 * lo + 0.5 * hi
             return (), (0,) if abs(mid) == math.inf else ()
@@ -332,9 +464,9 @@ def _select_medians(values: np.ndarray, half: float, out: np.ndarray):
     # scalar introselect, which costs more than a max-reduce call
     values.partition(k, axis=1)
     hi = half * values[:, k]
-    lo = hi if m % 2 else half * np.maximum.reduce(values[:, :k], axis=1)
+    lo = hi if low == k else half * np.maximum.reduce(values[:, :k], axis=1)
     with np.errstate(over="ignore"):
-        out[:] = hi if m % 2 else 0.5 * (lo + hi)
+        out[:] = hi if low == k else 0.5 * (lo + hi)
     over = np.isinf(out)
     infinite = ()
     if np.count_nonzero(over):
@@ -348,7 +480,12 @@ def _row_estimates(estimator: Estimator, block: np.ndarray) -> np.ndarray:
     if estimator == Estimator.MEAN:
         return block.mean(axis=1)
     if estimator == Estimator.STD:
-        return block.std(axis=1, ddof=1)
+        s = block.std(axis=1, ddof=1)
+        rows = np.flatnonzero(s <= _TIES * np.abs(block[:, 0]))
+        if rows.size:
+            tied = block[rows]
+            s[rows[tied.min(axis=1) == tied.max(axis=1)]] = 0.0
+        return s
     if estimator == Estimator.MAD:
         return _row_medians(block, "mad") * MAD_SCALE
     if estimator == Estimator.SHAMOS:
@@ -449,6 +586,8 @@ def std_dev(values: Iterable[float], unbiased_c4: bool = False) -> float:
             # the variance passed the largest double, though the standard
             # deviation may not: compute it for the data scaled by 2**-600
             s = _sample_sd(arr * 2.0 ** -600) * 2.0 ** 600
+    if s <= _TIES * abs(arr.item(0)) and arr.min() == arr.max():
+        s = 0.0
     if unbiased_c4:
         from .factors import c4
 

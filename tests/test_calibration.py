@@ -154,13 +154,17 @@ class TestConfigValidation:
 
     def test_worker_count_below_one_is_an_error(self, monkeypatch):
         rule = "must be an integer of at least 1, got"
-        for count in (0, -3, "0", "many"):
+        # a float or a bool is not truncated to a count
+        for count in (0, -3, "0", "many", 2.5, 1.0, True, False, "2.5"):
             with pytest.raises(ValueError, match=f"^worker count {rule} {count!r}$"):
                 resolve_worker_count(count)
-        for env in ("0", "-3"):
+        for env in ("0", "-3", "1.5"):
             monkeypatch.setenv("ROBUST_FINITE_THREADS", env)
             with pytest.raises(ValueError, match=f"^ROBUST_FINITE_THREADS {rule} '{env}'$"):
                 resolve_worker_count("auto")
+        assert resolve_worker_count(np.int64(2)) == 2
+        with pytest.raises(ValueError, match=rf"^worker count {rule} 1\.7$"):
+            SimulationConfig("mean", (5,), master_seed=0, worker_count=1.7)
 
 
 class _RecordingPool:

@@ -243,6 +243,25 @@ def test_std_dev_keeps_the_loop_bits():
         assert std_dev(x).hex() == want.hex(), list(x)
 
 
+def test_constant_sample_has_zero_std():
+    # sum / n of n copies of v need not be v, so without the tie check these
+    # come out as a few ulps of v, for both kernels
+    from robustfinite.estimators import _row_estimates
+
+    rng = np.random.default_rng(8)
+    values = rng.uniform(49.0, 51.0, 3000).tolist() + [50.446374572364014, 0.0, -0.0]
+    for v in values:
+        for n in (2, 3, 7):
+            assert std_dev([v] * n) == 0.0, (v, n)
+    for n in (2, 3, 7):
+        block = np.repeat(np.array(values)[:, None], n, axis=1)
+        assert not _row_estimates(Estimator.STD, block).any(), n
+    # a sample whose spread is a single ulp is not constant, and keeps it
+    assert std_dev([1.0, 1.0 + 2.0 ** -52]) == 2.0 ** -52
+    got = _row_estimates(Estimator.STD, np.array([[1.0, 1.0 + 2.0 ** -52, 1.0]]))
+    assert got[0] > 0
+
+
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=4, max_size=4))
 @settings(max_examples=300)
 def test_hl1_equals_mean_for_size_four(values):

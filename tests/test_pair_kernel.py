@@ -54,12 +54,21 @@ def reference_median(x, kind):
 
 
 def samples(rng, n):
-    """Continuous values, heavy ties, signed zeros and +-1e300 magnitudes."""
+    """Continuous values, heavy ties, signed zeros and +-1e300 magnitudes;
+    sorted, reverse-sorted and constant rows; and ties around the middle,
+    so that pairs equal to a middle value lie on both sides of the window
+    of pairs the kernel forms."""
     yield rng.normal(size=n)
     yield rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=n)
     yield rng.choice([-0.0, 0.0], size=n)
     yield rng.choice([-1e300, -0.0, 0.0, 1e300, 3.0], size=n)
     yield rng.integers(-3, 4, size=n) * 1e300
+    yield np.sort(rng.normal(size=n))
+    yield -np.sort(rng.normal(size=n))
+    yield np.full(n, rng.normal())
+    z = rng.normal(size=n)
+    yield np.where(np.abs(z) < 0.7, 0.25, z)
+    yield rng.permutation(np.repeat([1.0, 2.0], [n // 2, n - n // 2]))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -81,8 +90,7 @@ def test_small_n_matches_brute_force(kind):
 def test_block_across_chunks_matches_brute_force(kind):
     rng = np.random.default_rng(7)
     n = 60
-    pairs = {"median": 60, "mad": 60, "shamos": 1770, "hl1": 1770, "hl2": 1830,
-             "hl3": 3600}[kind]
+    pairs = n if kind in ("median", "mad") else est._pair_plan(n, kind).size
     step = _BUFFER_PAIRS // pairs
     rows = 2 * step + 7  # three chunks, the last one partial
     block = rng.normal(size=(rows, n))
@@ -96,10 +104,12 @@ def test_block_across_chunks_matches_brute_force(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_row_larger_than_buffer_matches_brute_force(kind):
     # one row holds more values than the buffer: n for the median and the
-    # MAD, which do not apply PAIR_LIMIT, and about n^2/2 pairs otherwise
+    # MAD, which do not apply PAIR_LIMIT, and otherwise the pairs the plan
+    # keeps, about 45% of n^2/2 for hl1 and hl2, 45% of n^2 for hl3 and 90%
+    # of n^2/2 for shamos
     linear = kind in ("median", "mad")
-    n = _BUFFER_PAIRS + 3 if linear else 800
-    assert (n if linear else n * (n - 1) // 2) > _BUFFER_PAIRS
+    n = _BUFFER_PAIRS + 3 if linear else 1100 if kind in ("hl1", "hl2") else 800
+    assert (n if linear else est._pair_plan(n, kind).size) > _BUFFER_PAIRS
     rng = np.random.default_rng(11)
     x = np.round(rng.normal(size=n), 2)
     want = reference_median(x, kind).hex()
@@ -152,3 +162,64 @@ def test_finite_sample_has_finite_median():
             got = _row_medians(block, kind)
             assert np.isfinite(got).all(), kind
             assert [v.hex() for v in got] == [SCALAR[kind](x).hex() for x in block]
+
+
+PAIRWISE = ("shamos", "hl1", "hl2", "hl3")
+
+
+def brute_pairs(n, kind):
+    """Every value of the kind's multiset as its pair (i, j), i <= j, of a
+    sorted row: hl3 lists each pair i < j twice."""
+    if kind == "hl3":
+        return [(min(a, b), max(a, b)) for a in range(n) for b in range(n)]
+    first = 1 if kind in ("shamos", "hl1") else 0
+    return [(i, j) for i in range(n) for j in range(i + first, n)]
+
+
+def dominated(p, q, kind):
+    """Whether the values of pairs p (columns) are certainly <= those of
+    pairs q (rows), as a (len(q), len(p)) array."""
+    (pi, pj), (qi, qj) = (np.array(p).T[:, None, :], np.array(q).T[:, :, None])
+    if kind == "shamos":  # S[j] - S[i] grows as the interval widens
+        return (qi <= pi) & (pj <= qj)
+    return (pi <= qi) & (pj <= qj)
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_rank_bounds_match_brute_force(kind):
+    """P and S of every pair against a count over the dominance order, and
+    the plan's kept pairs against the brute-force rule: one contiguous range
+    of j for each i, and ranks lowered by the values dropped below."""
+    for n in range(MIN_N[kind], 41):
+        values = brute_pairs(n, kind)
+        m = len(values)
+        lo_rank, hi_rank = (m - 1) // 2, m // 2
+        distinct = sorted(set(values))
+        copies = np.array([values.count(p) for p in distinct])
+        # the pair itself once; its hl3 twin, an equal value, not at all
+        other = ~np.array([[p == q for p in values] for q in distinct])
+        want_p = 1 + (dominated(values, distinct, kind) & other).sum(axis=1)
+        want_s = 1 + (dominated(distinct, values, kind).T & other).sum(axis=1)
+        i, j = np.array(distinct).T
+        got_p, got_s = est._pair_counts(kind, n, i, j)
+        assert got_p.tolist() == want_p.tolist(), (kind, n)
+        assert got_s.tolist() == want_s.tolist(), (kind, n)
+        below = want_s > m - lo_rank
+        keep = ~below & (want_p <= hi_rank + 1)
+        shift = int(copies[below].sum())
+        plan = est._pair_plan(n, kind)
+        assert plan.ranks == (lo_rank - shift, hi_rank - shift), (kind, n)
+        assert plan.middle == hi_rank
+        assert plan.size == copies[keep].sum(), (kind, n)
+        kept = [p for p, k in zip(distinct, keep) if k]
+        for row in range(n):
+            js = [q[1] for q in kept if q[0] == row and q[1] > row]
+            assert js == list(range(plan.starts[row], plan.stops[row])), (kind, n, row)
+        assert [q[0] for q in kept if q[0] == q[1]] == list(plan.diagonal), (kind, n)
+
+
+def test_kept_pairs_at_n_100():
+    # the Hodges-Lehmann kernels form at most 46% of the multiset, shamos 91%
+    for kind, full in (("hl1", 4950), ("hl2", 5050), ("hl3", 10000), ("shamos", 4950)):
+        share = est._pair_plan(100, kind).size / full
+        assert share <= (0.91 if kind == "shamos" else 0.46), (kind, share)

@@ -107,6 +107,14 @@ class TestChartLimits:
         assert limits.center == limits.ucl == limits.lcl == 0.0
         assert limits.three_sigma == 0.0
 
+    def test_constant_subgroups_have_zero_spread(self):
+        # the row mean of seven copies of this value is not the value
+        v = 50.446374572364014
+        for method in ("std-c4", "mad-c5", "shamos-c6"):
+            limits = chart_limits(SubgroupSeries(np.full((3, 7), v)), method)
+            assert limits.three_sigma == 0.0, method
+            assert limits.ucl == limits.lcl == v, method
+
     def test_identical_subgroups_mad_method(self):
         row = np.array([1.0, 2.0, 4.0, 8.0, 9.0])
         series = SubgroupSeries(np.tile(row, (6, 1)))
