@@ -22,7 +22,7 @@ _ESTIMATORS = [e.value for e in Estimator]
 
 
 def _parse_n_list(text: str) -> list[int]:
-    """Parse sample sizes: comma list and/or inclusive a:b ranges."""
+    """Parse sample sizes: comma list and/or inclusive a:b ranges, a <= b."""
     out: list[int] = []
     for token in text.split(","):
         token = token.strip()
@@ -30,7 +30,10 @@ def _parse_n_list(text: str) -> list[int]:
             continue
         if ":" in token:
             lo, hi = token.split(":", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            sizes = range(int(lo), int(hi) + 1)
+            if not sizes:
+                raise ValueError(f"empty range {token!r} in --n {text!r}")
+            out.extend(sizes)
         else:
             out.append(int(token))
     if not out:

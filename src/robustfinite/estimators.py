@@ -73,7 +73,11 @@ _BUFFER_PAIRS = 1 << 18
 
 # Up to this many values, one row is sorted; longer rows and blocks select
 # the upper middle value and take the lower one as the max of the left part.
+# A pairwise row of a sorted sample is made of runs already sorted by i, and
+# sorting it stays cheaper than selecting up to about 700 values (measured
+# on _fill_pairs output of hl1, hl2, hl3 and shamos at n = 14..78).
 _SHORT_ROW = 128
+_SHORT_PAIRS = 700
 
 
 class Estimator(str, enum.Enum):
@@ -392,9 +396,11 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
     if kind in ("median", "mad"):
         plan, index = None, None
         m, ranks, middle = n, ((n - 1) // 2, n // 2), n // 2
+        short = _SHORT_ROW
     else:
         plan = _pair_plan(n, kind)
         m, ranks, middle = plan.size, plan.ranks, plan.middle
+        short = _SHORT_PAIRS
         index = plan.index
         if index is None and m <= _BUFFER_PAIRS:
             index = _pair_index(plan)
@@ -410,17 +416,17 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
         if kind == "mad":
             # deviations from the median, in place: none is -0.0 after abs,
             # so the sign of a zero median does not matter
-            _select_medians(pairs, ranks, 1.0, medians)
+            _select_medians(pairs, ranks, 1.0, short, medians)
             pairs -= medians[:, None]
             np.abs(pairs, out=pairs)
-        zeros, infinite = _select_medians(pairs, ranks, half, medians)
+        zeros, infinite = _select_medians(pairs, ranks, half, short, medians)
         if hl:
             # a middle pair sum passed the largest double, though its half
             # does not: select again among the sums of halved values
             for r in infinite:
                 again = pairs[r:r + 1]
                 _fill_pairs(0.5 * chunk[r:r + 1], plan, index, again)
-                _select_medians(again, ranks, 1.0, medians[r:r + 1])
+                _select_medians(again, ranks, 1.0, short, medians[r:r + 1])
         if kind == "median" or hl:
             # Sorting and partitioning treat -0.0 and +0.0 as equal and may
             # write either for the other, so a median of zeros is ranked by
@@ -433,13 +439,14 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
-                    out: np.ndarray):
+                    short: int, out: np.ndarray):
     """Write each row's median into ``out``: the value at the two equal
     ``ranks``, or ``0.5 * (lo + hi)`` of the values at the two ranks, each
     scaled by ``half``; return the rows whose middle values are zeros and
-    the rows whose median is infinite.  Reorders the rows in place.  ``lo +
-    hi`` overflows only when both exceed half the largest double, and then
-    ``0.5 * lo + 0.5 * hi`` is the same correctly rounded midpoint; the
+    the rows whose median is infinite.  A single row of at most ``short``
+    values is sorted, others are selected in.  Reorders the rows in place.
+    ``lo + hi`` overflows only when both exceed half the largest double, and
+    then ``0.5 * lo + 0.5 * hi`` is the same correctly rounded midpoint; the
     median stays infinite only when a middle value is."""
     rows, m = values.shape
     low, k = ranks
@@ -447,7 +454,7 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
         # one row, as from the scalar API: Python floats cost less than
         # 1-element arrays, and numpy sorts a short row faster than it
         # selects in it
-        if m <= _SHORT_ROW:
+        if m <= short:
             values.sort()
             lo = values.item(0, low)
         else:

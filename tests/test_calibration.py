@@ -1,7 +1,16 @@
 import csv
 import math
+import multiprocessing
 import os
+import queue
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,7 +182,7 @@ class _RecordingPool:
 
     opened: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **options):
         self.max_workers = max_workers
         self.chunksize = None
         _RecordingPool.opened.append(self)
@@ -188,11 +197,16 @@ class _RecordingPool:
         self.chunksize = chunksize
         return map(fn, iterable)
 
+    def shutdown(self, wait=True):
+        pass
+
 
 class TestBlockRunner:
     @pytest.fixture
     def pools(self, monkeypatch):
         monkeypatch.setattr(calibration, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(calibration, "_pool", None)
+        monkeypatch.setattr(calibration, "_idle", None)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.delenv("ROBUST_FINITE_THREADS", raising=False)
         _RecordingPool.opened = []
@@ -227,6 +241,216 @@ class TestBlockRunner:
         assert [p.max_workers for p in pools] == [2]
         assert rows == regenerate_table("nvar", [2, 3, 4, 5], master_seed=5,
                                         replications=1000, worker_count=1)
+
+    def test_pool_is_kept_until_the_worker_count_changes(self, pools, monkeypatch):
+        shut = []
+        monkeypatch.setattr(_RecordingPool, "shutdown",
+                            lambda self, wait=True: shut.append((self, wait)))
+        self._simulate(3, 2)
+        self._simulate(3, 2)
+        assert [p.max_workers for p in pools] == [2] and shut == []
+        self._simulate(3, 3)
+        assert [p.max_workers for p in pools] == [2, 3]
+        assert shut == [(pools[0], True)]
+
+    def test_idle_pool_closes(self, pools, monkeypatch):
+        shut = []
+        monkeypatch.setattr(_RecordingPool, "shutdown",
+                            lambda self, wait=True: shut.append(self))
+        monkeypatch.setattr(calibration, "_IDLE_S", 0.05)
+        self._simulate(3, 2)
+        deadline = time.monotonic() + 10
+        while not shut and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert shut == pools and calibration._pool is None
+        self._simulate(3, 2)
+        assert len(pools) == 2
+
+    def test_threads_share_the_pool_safely(self, pools, monkeypatch):
+        # threads switching the worker count must shut down every pool but
+        # the last, and never drop one still open
+        shut = []
+
+        # real pools take a while to open and to shut down, which lets other
+        # threads run in between
+        def opening(max_workers, **options):
+            time.sleep(1e-3)
+            return _RecordingPool(max_workers)
+
+        def shutdown(pool, wait=True):
+            time.sleep(1e-3)
+            shut.append(pool)
+
+        monkeypatch.setattr(calibration, "ProcessPoolExecutor", opening)
+        monkeypatch.setattr(_RecordingPool, "shutdown", shutdown)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda w=w: [self._simulate(3, w)
+                                                           for _ in range(40)])
+                       for w in (2, 3, 2, 3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert shut == pools[:-1]
+
+
+def _simulate_into(config, results):
+    results.put(simulate(config))
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
+class TestReusedPool:
+    """The kept pool, on real workers."""
+
+    CONFIG = SimulationConfig("mad", (3, 6), master_seed=5, replications=3000,
+                              worker_count=2)
+
+    @pytest.fixture
+    def serial(self):
+        return simulate(replace(self.CONFIG, worker_count=1))
+
+    def test_calls_at_changing_worker_counts_agree(self, monkeypatch):
+        # three workers even on two CPUs, so that the pool is replaced
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        config = replace(self.CONFIG, n_values=(3, 6, 9))
+        serial = simulate(replace(config, worker_count=1))
+        executors = []
+        for workers in (2, 2, 3, 2):
+            assert simulate(replace(config, worker_count=workers)) == serial
+            executors.append(calibration._pool[1])
+        assert executors[0] is executors[1]
+        assert len({id(e) for e in executors}) == 3
+
+    def _in_forked_child(self):
+        """Run simulate(CONFIG) in a fork-context child; return what it gave
+        within 60 s (None if nothing) and its exit code."""
+        context = multiprocessing.get_context("fork")
+        results = context.Queue()
+        child = context.Process(target=_simulate_into, args=(self.CONFIG, results))
+        child.start()
+        try:
+            got = results.get(timeout=60)
+        except queue.Empty:
+            got = None
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        return got, child.exitcode
+
+    def test_forked_child_opens_its_own_pool(self, serial):
+        # the child inherits the parent's pool without its manager thread,
+        # and using that copy would hang; at exit, the child must stop its
+        # own pool before multiprocessing joins the pool's workers
+        assert simulate(self.CONFIG) == serial
+        assert self._in_forked_child() == (serial, 0)
+
+    def test_child_forked_while_a_thread_maps(self, serial):
+        # the child's copy of the pool lock is held by a thread that the
+        # child does not have
+        busy = threading.Thread(target=simulate, args=(
+            replace(self.CONFIG, n_values=tuple(range(2, 80)), replications=20_000),))
+        busy.start()
+        try:
+            deadline = time.monotonic() + 30
+            while not calibration._pool_lock.locked() and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            assert calibration._pool_lock.locked()
+            assert self._in_forked_child() == (serial, 0)
+        finally:
+            busy.join(60)
+        assert not busy.is_alive()
+
+    def test_killed_worker_breaks_one_call(self, serial):
+        simulate(self.CONFIG)
+        victim = multiprocessing.active_children()[0]
+        victim.kill()
+        victim.join(10)
+        with pytest.raises(BrokenProcessPool):
+            simulate(self.CONFIG)
+        assert simulate(self.CONFIG) == serial
+
+    @staticmethod
+    def _python(*args, stdin=None):
+        """Run a fresh interpreter that imports the package from this tree."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+                              timeout=60)
+
+    def _run_python(self, lines):
+        """Run the lines in a fresh interpreter after one simulate call on two
+        workers."""
+        return self._python("-c", "\n".join([
+            "import multiprocessing, os, select, signal",
+            "from robustfinite.calibration import SimulationConfig, simulate",
+            "read, write = os.pipe()",
+            "simulate(SimulationConfig('mad', (3, 6), master_seed=5,",
+            "                          replications=3000, worker_count=2))",
+            *lines]))
+
+    UNGUARDED = "\n".join([
+        "from robustfinite.calibration import SimulationConfig, simulate",
+        "print(simulate(SimulationConfig('mad', (3, 6), master_seed=5,",
+        "                                replications=3000, worker_count=2))[0].n)"])
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="spawned workers import the main module")
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_script_needs_no_main_guard(self, tmp_path, source):
+        # forked workers do not import the main module, so a script without
+        # an `if __name__ == "__main__":` guard, or one read from standard
+        # input, runs on two workers as on one
+        if source == "file":
+            script = tmp_path / "script.py"
+            script.write_text(self.UNGUARDED)
+            result = self._python(str(script))
+        else:
+            result = self._python("-", stdin=self.UNGUARDED)
+        assert (result.returncode, result.stdout) == (0, "3\n"), result.stderr
+
+    @pytest.mark.parametrize("end, returncode", [
+        ("pass", 0), ("os.kill(os.getpid(), signal.SIGKILL)", -9)])
+    def test_workers_exit_with_the_process(self, end, returncode):
+        # a killed process cannot stop its workers; they must notice
+        result = self._run_python([
+            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)", end])
+        assert result.returncode == returncode, result.stderr
+        pids = [int(p) for p in result.stdout.split()]
+        assert len(pids) == 2
+
+        def alive(pid):
+            # a zombie has exited and waits only for init to reap it
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return True
+
+        deadline = time.monotonic() + 10
+        while any(map(alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(alive, pids))
+
+    def test_pipe_of_the_caller_closes_once_the_pool_is_idle(self):
+        # forked workers hold a pipe that was open when they started; they
+        # outlive the call, but must let it reach end-of-file once the pool
+        # has been idle for a while
+        result = self._run_python([
+            "os.close(write)",
+            "print(select.select([read], [], [], 10)[0] == [read] and os.read(read, 1) == b'')"])
+        assert (result.returncode, result.stdout) == (0, "True\n"), result.stderr
 
 
 class TestAgainstTruth:

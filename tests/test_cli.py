@@ -148,6 +148,12 @@ class TestSimulateAndFit:
         assert code == 0
         assert [r.split(",")[0] for r in data_lines(out)[1:]] == ["2", "3", "4"]
 
+    def test_inverted_n_range_is_data_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--estimator", "mad",
+                                 "--n", "3,10:2", "--reps", "200", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: empty range '10:2' in --n '3,10:2'\n"
+
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--estimator", "mad", "--n", "2", "--reps", "500"])
