@@ -26,8 +26,12 @@ row and form only the pairs whose rank bounds leave them within reach of
 the two middle ranks, as X + Y selection (Johnson and Mizoguchi 1978) and
 the fast Qn and Sn (Croux and Rousseeuw 1992) do: about 45% of the values
 of the Hodges-Lehmann variants (for hl3, of its n^2 ordered pairs) and 90%
-of those of shamos.  Only rows too long to share the buffer are filled
-range by range, without index arrays.
+of those of shamos.  A long pairwise row is not filled when it is the
+call's only row, as in the scalar API from n of about 270 (hl3, shamos) or
+380 (hl1, hl2) on, or too long to share the buffer: ``_count_middle``
+selects its two middle values by counting in its sorted pair matrix, in
+O(n log n) time and O(n) memory.  Blocks of shorter rows, as in the
+simulator and the control charts, keep the buffer.
 
 The mean and the standard deviation have two kernels: ``math.fsum`` for one
 sample in the scalar API, and numpy's row reductions for a block in
@@ -59,12 +63,14 @@ __all__ = [
     "PAIR_LIMIT",
 ]
 
-# Pairwise estimators hold the pairs of one row that can be a middle value
-# at once, about 45% of the n(n-1)/2 pairs for hl1 and hl2, of the n^2 for
-# hl3, and 90% for shamos (a chunk of rows shares one buffer of
-# _BUFFER_PAIRS values, but a single row larger than that gets a buffer of
-# its own); beyond this the memory cost is unreasonable and callers get an
-# explicit size-limit error.
+# Pairwise estimators accept n up to this, and callers get an explicit
+# size-limit error beyond it.  A block of rows holds the pairs of each row
+# that can be a middle value, about 45% of the n(n-1)/2 pairs for hl1 and
+# hl2, of the n^2 for hl3, and 90% for shamos, in chunks that share one
+# buffer of _BUFFER_PAIRS values; a row that is alone in its call with more
+# pairs than _CACHED_INDEX, or too long to share the buffer, is selected by
+# counting in O(n) memory instead.  So no path holds more pairs than the
+# buffer, and the limit is the same for the scalar API and the simulator.
 PAIR_LIMIT = 10_000
 
 # Values (pairs, for the pairwise estimators) per chunk buffer: 2 MB of
@@ -78,6 +84,13 @@ _BUFFER_PAIRS = 1 << 18
 # on _fill_pairs output of hl1, hl2, hl3 and shamos at n = 14..78).
 _SHORT_ROW = 128
 _SHORT_PAIRS = 700
+
+# _count_middle samples this many of the pairs left in a round, takes the
+# pivots this many sample ranks either side of the one expected at the
+# middle, and forms the pairs once at most _GATHER are left.
+_SAMPLE = 2048
+_MARGIN = 64
+_GATHER = 4096
 
 
 class Estimator(str, enum.Enum):
@@ -247,8 +260,9 @@ class _PairPlan(NamedTuple):
 
 
 # A plan of at most this many values caches its index, 512 KB of indices,
-# so the 256 plans hold at most 128 MB; larger ones are built once per
-# ``_row_medians`` call.
+# so the 256 plans hold at most 128 MB.  Larger ones build it once per
+# ``_row_medians`` call of several rows that share the buffer; a single row,
+# or one too long for the buffer, is counted in without an index.
 _CACHED_INDEX = 1 << 15
 
 
@@ -331,34 +345,177 @@ def _fill_pairs(rows: np.ndarray, plan: _PairPlan | None, index,
     of ``out``: the row itself for median and mad, and for the pairwise
     kinds the values of ``plan``'s pairs of sorted rows, ``S[j] - S[i]`` for
     shamos and the sums ``S[i] + S[j]``, not yet halved, for the
-    Hodges-Lehmann variants.  ``index`` is ``_pair_index(plan)``, or None
-    for a row too long to share the buffer, which is filled range by range:
-    the pairs i < j, again for hl3, then the diagonal.
+    Hodges-Lehmann variants.  ``index`` is ``_pair_index(plan)``: rows too
+    long to share the buffer are never filled, ``_count_middle`` selects in
+    them without forming their pairs.
     """
     if plan is None:
         out[...] = rows
         return
     op = np.subtract if plan.kind == "shamos" else np.add
-    if index is not None:
-        counts, i, j = index
-        if len(rows) == 1:
-            # one row, as from the scalar API: indexing it costs less than
-            # take and repeat, which are faster on many rows
-            row = rows[0]
-            op(row[j], row[i], out=out[0])
+    counts, i, j = index
+    if len(rows) == 1:
+        # one row, as from the scalar API: indexing it costs less than take
+        # and repeat, which are faster on many rows
+        row = rows[0]
+        op(row[j], row[i], out=out[0])
+    else:
+        np.take(rows, j, axis=1, out=out, mode="clip")
+        op(out, np.repeat(rows, counts, axis=1), out=out)
+
+
+def _pair_values(s: np.ndarray, kind: str, i, j):
+    """The values of the pairs (i, j) of a sorted row ``s``, formed as
+    ``_fill_pairs`` forms them."""
+    return s[j] - s[i] if kind == "shamos" else s[j] + s[i]
+
+
+def _count_below(s: np.ndarray, kind: str, t: np.ndarray, starts: np.ndarray,
+                 stops: np.ndarray) -> np.ndarray:
+    """How many of the pairs (i, j), ``starts[i] <= j < stops[i]``, of a
+    sorted row ``s`` have a value below each pivot ``t[a]`` (``[a, 0, i]``)
+    and at most ``t[a]`` (``[a, 1, i]``).
+
+    Rounding is monotone, so the values of each i grow with j, and both
+    bounds start where ``s[j]`` passes ``t - s[i]`` (``t + s[i]`` for
+    shamos).  That difference is rounded too, and values equal to the pivot
+    lie between the two bounds, so each bound is then moved over whole runs
+    of equal ``s[j]`` until the rounded pair values on its two sides agree
+    with it."""
+    i = np.arange(s.size)
+    u = t[:, None] + s if kind == "shamos" else t[:, None] - s
+    at = np.repeat(np.searchsorted(s, u)[:, None], 2, axis=1)
+    np.clip(at, starts, stops, out=at)
+    t = t[:, None, None]
+    strict = np.array([True, False])[:, None]  # count v < t, or v <= t
+    while True:
+        v = _pair_values(s, kind, i, at - 1)
+        back = (at > starts) & ((v > t) | (v == t) & strict)
+        v = _pair_values(s, kind, i, np.minimum(at, s.size - 1))
+        ahead = (at < stops) & ((v < t) | (v == t) & ~strict)
+        if not (back.any() or ahead.any()):
+            return at - starts
+        lo = np.broadcast_to(starts, at.shape)
+        hi = np.broadcast_to(stops, at.shape)
+        at[back] = np.maximum(lo[back], np.searchsorted(s, s[at[back] - 1], "left"))
+        at[ahead] = np.minimum(hi[ahead], np.searchsorted(s, s[at[ahead]], "right"))
+
+
+def _middle_of_windows(s: np.ndarray, kind: str, starts: np.ndarray,
+                       sizes: np.ndarray) -> np.ndarray:
+    """The median of the middle values of the windows of ``sizes`` pairs
+    (i, j), ``j >= starts[i]``, of a sorted row ``s``, each weighted by its
+    size, as a 1-element array: at least a quarter of the pairs in the
+    windows are at most that value, and a quarter at least it."""
+    i = np.flatnonzero(sizes)
+    middles = _pair_values(s, kind, i, starts[i] + sizes[i] // 2)
+    order = np.argsort(middles)
+    weights = np.cumsum(sizes[i][order])
+    at = np.searchsorted(weights, weights[-1] / 2)
+    return middles[order[at:at + 1]]
+
+
+def _count_median(s: np.ndarray, plan: _PairPlan, half: float, out: np.ndarray):
+    """``_midpoint`` of the middle values that ``_count_middle`` selects;
+    ``t - s[i]`` and the pair values of a row near the largest double may
+    overflow, and the counts compare the rounded values, infinities too."""
+    with np.errstate(over="ignore"):
+        lo, hi = _count_middle(s, plan)
+    return _midpoint(lo, hi, half, out)
+
+
+def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
+    """The values at ``plan.ranks`` among the pairs ``plan`` keeps of the
+    sorted row ``s``, selected by counting in its pair matrix without
+    forming the pairs: O(n log n) time and O(n) memory, as X + Y selection
+    (Johnson and Mizoguchi 1978) and the fast Qn and Sn (Croux and
+    Rousseeuw 1992) select.
+
+    Each i keeps a window of j that holds every pair still in reach of the
+    middle ranks.  At first it is the plan's, which leaves out pairs no
+    larger than the lower middle value and no smaller than the upper one;
+    each round then cuts off pairs below the upper middle value at the
+    windows' left ends and above it at their right ends.  A round takes two pivots from a systematic sample of the pairs in the
+    windows, ``_MARGIN`` sample ranks either side of the one expected at the
+    rank, counts the values below and at most each pivot
+    (``_count_below``), and narrows the windows to the values strictly
+    between the two pivots the rank lies between.  A pivot whose run of
+    equal values holds the rank is the answer, so heavy ties cost no more
+    than distinct values.  A round that leaves more than half of the pairs
+    is followed by one whose pivot, the weighted median of the windows'
+    middle values, cuts at least a quarter of them.  The last ``_GATHER``
+    or fewer pairs are formed and selected in.  hl3 counts each pair
+    i < j twice.
+
+    The lower middle value, where it differs from the upper one, is the
+    largest value below it: the last pair before the upper value's bound in
+    some i, so it is read off those bounds.
+    """
+    kind = plan.kind
+    n = s.size
+    i = np.arange(n)
+    first = 1 if kind in ("shamos", "hl1") else 0
+    starts = plan.starts.copy()
+    starts[plan.diagonal.start:plan.diagonal.stop] = i[plan.diagonal.start:plan.diagonal.stop]
+    stops = plan.stops
+    low, k = plan.ranks
+    twins = kind == "hl3"
+
+    def weigh(c):
+        # how many values the first c pairs of each window stand for
+        if not twins:
+            return c.sum(axis=-1)
+        return 2 * c.sum(axis=-1) - np.count_nonzero((starts == i) & (c > 0), axis=-1)
+
+    sure = False  # the next pivot must cut a quarter of the pairs
+    while True:
+        sizes = stops - starts
+        ends = np.cumsum(sizes)
+        total = int(ends[-1])
+        if total <= _GATHER:
+            rows = np.repeat(i, sizes)
+            cols = np.arange(total) - np.repeat(ends - sizes - starts, sizes)
+            values = _pair_values(s, kind, rows, cols)
+            pool = np.concatenate([values, values[cols != rows]]) if twins else values
+            upper = np.partition(pool, k).item(k)
+            below = np.bincount(rows[values < upper], minlength=n)
+            break
+        if sure:
+            pivots = _middle_of_windows(s, kind, starts, sizes)
         else:
-            np.take(rows, j, axis=1, out=out, mode="clip")
-            op(out, np.repeat(rows, counts, axis=1), out=out)
-        return
-    at = 0
-    for i, (lo, hi) in enumerate(zip(plan.starts.tolist(), plan.stops.tolist())):
-        op(rows[:, lo:hi], rows[:, i, None], out=out[:, at:at + hi - lo])
-        at += hi - lo
-    if plan.kind == "hl3":
-        out[:, at:2 * at] = out[:, :at]
-        at *= 2
-    d = slice(plan.diagonal.start, plan.diagonal.stop)
-    np.add(rows[:, d], rows[:, d], out=out[:, at:])
+            f = (2 * np.arange(_SAMPLE) + 1) * total // (2 * _SAMPLE)
+            r = np.searchsorted(ends, f, "right")
+            sample = _pair_values(s, kind, r, f - ends[r] + sizes[r] + starts[r])
+            centre = (k + 0.5) / int(weigh(sizes)) * _SAMPLE
+            picks = np.clip([math.floor(centre - _MARGIN), math.floor(centre + _MARGIN)],
+                            0, _SAMPLE - 1)
+            sample.partition(picks)
+            pivots = np.unique(sample[picks])
+        counts = _count_below(s, kind, pivots, starts, stops)
+        lt, le = weigh(counts).T.tolist()
+        hit = [a for a in range(len(pivots)) if lt[a] <= k < le[a]]
+        if hit:
+            upper = pivots.item(hit[0])
+            below = counts[hit[0], 0]
+            break
+        after = [a for a in range(len(pivots)) if le[a] <= k]
+        before = [a for a in range(len(pivots)) if k < lt[a]]
+        if before:
+            stops = starts + counts[before[0], 0]
+        if after:
+            k -= le[after[-1]]
+            low -= le[after[-1]]
+            starts = starts + counts[after[-1], 1]
+        sure = int((stops - starts).sum()) > total // 2
+    if low == k or int(weigh(below)) <= low:
+        # one middle rank, or the lower one is in the run equal to the upper
+        return upper, upper
+    last = starts + below - 1
+    has = np.flatnonzero(last >= i + first)
+    values = _pair_values(s, kind, has, last[has])
+    # an i whose window was empty from the start may have a pair above the
+    # middle values just before it
+    return values[values < upper].max().item(), upper
 
 
 def _negatives(row: np.ndarray, kind: str) -> int:
@@ -382,10 +539,12 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
     """Median of the values of each row of a (rows, n) float array: the row
     itself for "median", ``|x_i - median|`` for "mad" and ``|x_i - x_j|``
     for "shamos" (both unscaled), ``0.5 * (x_i + x_j)`` for "hl1", "hl2"
-    and "hl3".  Each is the midpoint median of ``_select_medians``, with -0.0
-    ranked before +0.0.  The pairwise kinds sort each row and form only the
-    pairs ``_pair_plan`` keeps.  Rows are handled in chunks whose values
-    fill one reused buffer, selected in place.
+    and "hl3".  Each is the midpoint median of ``_midpoint``, with -0.0
+    ranked before +0.0.  The pairwise kinds sort each row.  Rows are handled
+    in chunks whose values fill one reused buffer, selected in place; the
+    pairwise kinds form only the pairs ``_pair_plan`` keeps, and a row whose
+    plan caches no index is counted in by ``_count_middle`` instead when it
+    is the only row or too long to share the buffer.
     """
     rows, n = block.shape
     hl = kind in ("hl1", "hl2", "hl3")
@@ -394,7 +553,7 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
     half = 0.5 if hl else 1.0
     raw = block
     if kind in ("median", "mad"):
-        plan, index = None, None
+        plan, index, count = None, None, False
         m, ranks, middle = n, ((n - 1) // 2, n // 2), n // 2
         short = _SHORT_ROW
     else:
@@ -402,31 +561,38 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
         m, ranks, middle = plan.size, plan.ranks, plan.middle
         short = _SHORT_PAIRS
         index = plan.index
-        if index is None and m <= _BUFFER_PAIRS:
+        count = index is None and (rows == 1 or m > _BUFFER_PAIRS)
+        if index is None and not count:
             index = _pair_index(plan)
         block = np.sort(block, axis=1)
-    step = _BUFFER_PAIRS // m or 1
-    buf = np.empty((min(rows, step), m))
+    step = 1 if count else _BUFFER_PAIRS // m or 1
+    buf = None if count else np.empty((min(rows, step), m))
     out = np.empty(rows)
     for start in range(0, rows, step):
         chunk = block[start:start + step]
-        pairs = buf[:len(chunk)]
         medians = out[start:start + len(chunk)]
-        _fill_pairs(chunk, plan, index, pairs)
-        if kind == "mad":
-            # deviations from the median, in place: none is -0.0 after abs,
-            # so the sign of a zero median does not matter
-            _select_medians(pairs, ranks, 1.0, short, medians)
-            pairs -= medians[:, None]
-            np.abs(pairs, out=pairs)
-        zeros, infinite = _select_medians(pairs, ranks, half, short, medians)
+        if count:
+            zeros, infinite = _count_median(chunk[0], plan, half, medians)
+        else:
+            pairs = buf[:len(chunk)]
+            _fill_pairs(chunk, plan, index, pairs)
+            if kind == "mad":
+                # deviations from the median, in place: none is -0.0 after
+                # abs, so the sign of a zero median does not matter
+                _select_medians(pairs, ranks, 1.0, short, medians)
+                pairs -= medians[:, None]
+                np.abs(pairs, out=pairs)
+            zeros, infinite = _select_medians(pairs, ranks, half, short, medians)
         if hl:
             # a middle pair sum passed the largest double, though its half
             # does not: select again among the sums of halved values
             for r in infinite:
-                again = pairs[r:r + 1]
-                _fill_pairs(0.5 * chunk[r:r + 1], plan, index, again)
-                _select_medians(again, ranks, 1.0, short, medians[r:r + 1])
+                again = 0.5 * chunk[r]
+                if count:
+                    _count_median(again, plan, 1.0, medians[r:r + 1])
+                else:
+                    _fill_pairs(again[None, :], plan, index, pairs[r:r + 1])
+                    _select_medians(pairs[r:r + 1], ranks, 1.0, short, medians[r:r + 1])
         if kind == "median" or hl:
             # Sorting and partitioning treat -0.0 and +0.0 as equal and may
             # write either for the other, so a median of zeros is ranked by
@@ -438,16 +604,31 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
     return np.abs(out, out=out) if kind == "shamos" else out
 
 
+def _midpoint(lo: float, hi: float, half: float, out: np.ndarray):
+    """Write the median of one row whose middle values are ``lo <= hi``,
+    equal when there is one middle rank, into ``out[0]``: ``0.5 * (lo +
+    hi)`` of the values scaled by ``half``; return the rows, () or (0,), of
+    zero middle values and of infinite median.  ``lo + hi`` overflows only
+    when both exceed half the largest double, and then ``0.5 * lo + 0.5 *
+    hi`` is the same correctly rounded midpoint; the median stays infinite
+    only when a middle value is."""
+    lo, hi = half * lo, half * hi
+    mid = hi if lo == hi else 0.5 * (lo + hi)
+    if abs(mid) == math.inf:
+        out[0] = mid = 0.5 * lo + 0.5 * hi
+        return (), (0,) if abs(mid) == math.inf else ()
+    out[0] = mid
+    return (0,) if lo == hi == 0 else (), ()
+
+
 def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
                     short: int, out: np.ndarray):
     """Write each row's median into ``out``: the value at the two equal
-    ``ranks``, or ``0.5 * (lo + hi)`` of the values at the two ranks, each
-    scaled by ``half``; return the rows whose middle values are zeros and
-    the rows whose median is infinite.  A single row of at most ``short``
-    values is sorted, others are selected in.  Reorders the rows in place.
-    ``lo + hi`` overflows only when both exceed half the largest double, and
-    then ``0.5 * lo + 0.5 * hi`` is the same correctly rounded midpoint; the
-    median stays infinite only when a middle value is."""
+    ``ranks``, or the midpoint of the values at the two ranks, each scaled
+    by ``half``; return the rows whose middle values are zeros and the rows
+    whose median is infinite, as ``_midpoint`` does.  A single row of at
+    most ``short`` values is sorted, others are selected in.  Reorders the
+    rows in place."""
     rows, m = values.shape
     low, k = ranks
     if rows == 1:
@@ -460,13 +641,7 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
         else:
             values.partition(k, axis=1)
             lo = values.item(0, k) if low == k else values[0, :k].max().item()
-        lo, hi = half * lo, half * values.item(0, k)
-        mid = hi if low == k else 0.5 * (lo + hi)
-        if abs(mid) == math.inf:
-            out[0] = mid = 0.5 * lo + 0.5 * hi
-            return (), (0,) if abs(mid) == math.inf else ()
-        out[0] = mid
-        return (0,) if lo == hi == 0 else (), ()
+        return _midpoint(lo, values.item(0, k), half, out)
     # numpy selects one kth with a vectorised quickselect but several with a
     # scalar introselect, which costs more than a max-reduce call
     values.partition(k, axis=1)

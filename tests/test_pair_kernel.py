@@ -7,6 +7,7 @@ Every comparison is at ``float.hex`` equality, so signed zeros count.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,3 +224,148 @@ def test_kept_pairs_at_n_100():
     for kind, full in (("hl1", 4950), ("hl2", 5050), ("hl3", 10000), ("shamos", 4950)):
         share = est._pair_plan(100, kind).size / full
         assert share <= (0.91 if kind == "shamos" else 0.46), (kind, share)
+
+
+# The first n at which each kind's plan is too large to cache its index, so
+# that a single row of it is counted in rather than filled.
+COUNTED_FROM = {"shamos": 269, "hl1": 377, "hl2": 376, "hl3": 267}
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The number of rows ``_count_middle`` has selected in."""
+    calls = []
+
+    def spy(s, plan):
+        calls.append(s.size)
+        return count_middle(s, plan)
+
+    count_middle = est._count_middle
+    monkeypatch.setattr(est, "_count_middle", spy)
+    return calls
+
+
+def sorted_reference(x, kind, halved=False):
+    """``reference_median`` with numpy, for rows too long for pure Python:
+    every pair value formed as the estimator defines it (as the sum of the
+    halved values with ``halved``, exact where ``x_i + x_j`` overflows),
+    sorted, and the signs of middle zeros read from the count of negative
+    values and -0.0."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if kind == "hl3":
+        i, j = np.divmod(np.arange(n * n), n)
+    else:
+        i, j = np.triu_indices(n, 1 if kind in ("shamos", "hl1") else 0)
+    if kind == "shamos":
+        v = np.abs(x[i] - x[j])
+    else:
+        v = 0.5 * x[i] + 0.5 * x[j] if halved else 0.5 * (x[i] + x[j])
+    negatives = np.count_nonzero(np.signbit(v))
+    v.sort()
+    m = v.size
+
+    def at(r):
+        value = float(v[r])
+        return (-0.0 if r < negatives else 0.0) if value == 0 else value
+
+    lo, hi = at((m - 1) // 2), at(m // 2)
+    mid = 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi if math.isinf(mid) else mid
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_counted_row_matches_brute_force(kind, counted):
+    n = COUNTED_FROM[kind]
+    assert est._pair_plan(n - 1, kind).size <= est._CACHED_INDEX < est._pair_plan(n, kind).size
+    rng = np.random.default_rng(13)
+    for x in samples(rng, n):
+        want = reference_median(x, kind).hex()
+        assert _row_medians(x[None, :], kind)[0].hex() == want, (kind, list(x))
+        assert SCALAR[kind](x).hex() == want, (kind, list(x))
+    assert counted == [n] * 20
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_counted_long_row_matches_sorted_pairs(kind, counted):
+    rng = np.random.default_rng(17)
+    x = rng.standard_t(2, 2000)
+    x[::97] *= 25.0
+    assert SCALAR[kind](x).hex() == sorted_reference(x, kind).hex()
+    assert counted == [2000]
+
+
+@pytest.mark.parametrize("kind", ("hl1", "hl2", "hl3"))
+def test_counted_row_near_largest_double(kind, counted):
+    # every middle pair sum passes the largest double, though its half does
+    # not: the row is counted in again with its values halved
+    rng = np.random.default_rng(19)
+    n = COUNTED_FROM[kind] + 30
+    for x in (rng.uniform(0.6, 1.0, n) * 1.7e308, rng.uniform(-1.0, -0.6, n) * 1.7e308,
+              rng.choice([-1.7e308, 1.0, 1.5e308, 1.7e308], n, p=[0.1, 0.05, 0.4, 0.45])):
+        with np.errstate(over="ignore"):
+            want = sorted_reference(x, kind, halved=True)
+        assert math.isfinite(want)
+        assert SCALAR[kind](x).hex() == want.hex(), kind
+    assert counted == [n, n] * 3
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_counted_row_matches_filled_block(kind, counted):
+    # a block of two rows shares the buffer and is filled; one row alone is
+    # counted in
+    n = 500
+    assert est._CACHED_INDEX < est._pair_plan(n, kind).size <= _BUFFER_PAIRS
+    rng = np.random.default_rng(23)
+    for x in samples(rng, n):
+        with np.errstate(over="ignore"):
+            filled = _row_medians(np.array([x, x[::-1]]), kind)
+            assert not counted
+            got = _row_medians(x[None, :], kind)[0]
+        assert counted.pop() == n
+        assert [v.hex() for v in filled] == [got.hex()] * 2, (kind, list(x))
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_counted_ties_take_little_memory(kind):
+    """Rows of one or two values hold runs of equal pairs larger than the
+    rows: the pivot whose run holds the middle rank ends the counting, and
+    no round forms those runs."""
+    n = 2000
+    rng = np.random.default_rng(29)
+    for x in (np.full(n, 0.7), rng.permutation(np.repeat([1.0, 2.0], n // 2))):
+        want = SCALAR[kind](x)  # the plan is cached before tracing
+        tracemalloc.start()
+        try:
+            got = SCALAR[kind](x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.hex() == want.hex()
+        assert peak < 1 << 20, (kind, peak)
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_counting_in_many_rounds_matches_filled_block(kind, monkeypatch):
+    """Tiny samples and margins make the pivots miss the middle rank, hit
+    its neighbours and fall back on the windows' weighted median, which the
+    default sizes seldom do; the filled block is the reference."""
+    monkeypatch.setattr(est, "_SAMPLE", 8)
+    monkeypatch.setattr(est, "_MARGIN", 1)
+    monkeypatch.setattr(est, "_GATHER", 8)
+    fallbacks = []
+
+    def spy(*args):
+        fallbacks.append(1)
+        return middle_of_windows(*args)
+
+    middle_of_windows = est._middle_of_windows
+    monkeypatch.setattr(est, "_middle_of_windows", spy)
+    rng = np.random.default_rng(31)
+    n = 400
+    for x in [*samples(rng, n), rng.integers(-6, 7, n) * 0.5, rng.standard_cauchy(n)]:
+        with np.errstate(over="ignore"):
+            filled = _row_medians(np.array([x, x]), kind)
+            got = _row_medians(x[None, :], kind)[0]
+        assert [v.hex() for v in filled] == [got.hex()] * 2, (kind, list(x))
+    assert fallbacks
