@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .estimators import Estimator, _check_int
+from .estimators import Estimator, _check_int, _multiset_size
 
 __all__ = [
     "BreakdownResult",
@@ -127,31 +127,13 @@ def breakdown_oracle(n: int, estimator: Estimator | str) -> BreakdownResult:
     """
     est = Estimator(estimator)
     n = _check_int("n", n, 2 if est in (Estimator.HL1, Estimator.SHAMOS) else 1)
-
-    if est in (Estimator.MEDIAN, Estimator.MAD):
-        total = n
-        corrupted = lambda k: k
-        k_max = n
-    elif est == Estimator.HL3:
-        total = n * n
-        corrupted = lambda k: n * n - (n - k) ** 2
-        k_max = n
-    elif est in (Estimator.HL1, Estimator.SHAMOS):
-        total = n * (n - 1) // 2
-        corrupted = lambda k: total - (n - k) * (n - k - 1) // 2
-        k_max = n - 1
-    elif est == Estimator.HL2:
-        total = n * (n + 1) // 2
-        corrupted = lambda k: total - (n - k) * (n - k + 1) // 2
-        k_max = n
-    else:
+    if est._kind is None:
         raise ValueError(f"no breakdown oracle for {est}")
-
+    # the statistics left clean are those of the n - k clean observations
+    total = _multiset_size(est._kind, n)
     tolerable = (total - 1) // 2
-    k_star = 0
-    for k in range(k_max + 1):
-        if corrupted(k) <= tolerable:
-            k_star = k
+    k_star = max(k for k in range(n + 1)
+                 if total - _multiset_size(est._kind, n - k) <= tolerable)
     return BreakdownResult(n, est, k_star)
 
 

@@ -23,12 +23,8 @@ process pool that the process keeps while calls keep coming.
 integer of at least 0 and the replication count an integer of at least
 100, both checked by ``estimators._check_int``.
 
-Estimates per replication come from ``estimators._row_estimates``, which
-calls the median kernel that the scalar API and the control charts share
-for the six order-statistic estimators.  For the pairwise ones it forms only
-the pairs of a sorted row that can be a middle value, about 45% of them for
-the Hodges-Lehmann variants and 90% for shamos, in one buffer of about 2 MB
-per chunk of rows.
+Estimates per replication come from ``estimators._row_estimates``, the
+row path that the scalar API and the control charts share.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from .estimators import _PAIRWISE, Estimator, _check_int, _check_pair_limit, _row_estimates
+from .estimators import Estimator, _check_int, _check_pair_limit, _row_estimates
 from .factors import BiasModel, normalized_variance
 
 __all__ = [
@@ -166,8 +162,7 @@ _MIN_REPLICATIONS = 100
 
 def _validate_estimator_n(estimator: Estimator, n: int) -> None:
     _check_int(f"n (sample size) for {estimator.value}", n, estimator.min_n)
-    if estimator in _PAIRWISE:
-        _check_pair_limit(estimator.value, n)
+    _check_pair_limit(estimator, n)
 
 
 # ---------------------------------------------------------------------------

@@ -82,23 +82,16 @@ def _emit(args, header: list[str], rows: list[list[str]]) -> None:
 
 def _cmd_estimate(args) -> None:
     values = _read_observations(args.input)
-    name = args.estimator
-    if args.unbiased and Estimator(name).is_location:
-        raise _Usage("--unbiased applies only to scale estimators (std, mad, shamos)")
-    if name == "mean":
-        value = estimators.mean(values)
-    elif name == "median":
-        value = estimators.median(values)
-    elif name in ("hl1", "hl2", "hl3"):
-        value = estimators.hodges_lehmann(values, name)
-    elif name == "std":
-        value = estimators.std_dev(values, unbiased_c4=args.unbiased)
-    elif name == "mad":
-        value = factors.unbiased_mad(values) if args.unbiased else estimators.mad(values)
+    estimator = Estimator(args.estimator)
+    if not args.unbiased:
+        value = estimators._estimate(estimator, values)
+    elif estimator in factors._UNBIASING:
+        value = factors._unbiased(estimator, values)
     else:
-        value = factors.unbiased_shamos(values) if args.unbiased else estimators.shamos(values)
+        scales = ", ".join(map(str, factors._UNBIASING))
+        raise _Usage(f"--unbiased applies only to scale estimators ({scales})")
     _emit(args, ["estimator", "n", "value"],
-          [[name, str(len(values)), f"{value:.10g}"]])
+          [[args.estimator, str(len(values)), f"{value:.10g}"]])
 
 
 def _cmd_breakdown(args) -> None:

@@ -16,27 +16,33 @@ enter the pairwise-average multiset:
 Scale estimators accept ``consistent=True`` (default) to apply the constant
 that makes them consistent for sigma under a normal population.
 
+Each estimator's facts live on its ``Estimator`` member, and
+``_row_estimates``, which reads them, is the one path of the scalar
+functions, the simulator and the control charts; ``factors`` maps each
+scale estimator to its unbiasing factor and variance.
+
 The six order-statistic estimators (median, mad, shamos, hl1, hl2, hl3)
 share one median kernel, ``_row_medians``, over the rows of a 2-d array:
 the scalar functions are 1-row calls of it, and the simulator and the
-control charts call it on blocks through ``_row_estimates``.  It selects in
-one reused buffer of about 2 MB per chunk of rows: O(n) memory per row for
-the median and the MAD, O(n^2) for the pairwise estimators.  Those sort each
-row and form only the pairs whose rank bounds leave them within reach of
-the two middle ranks, as X + Y selection (Johnson and Mizoguchi 1978) and
-the fast Qn and Sn (Croux and Rousseeuw 1992) do: about 45% of the values
-of the Hodges-Lehmann variants (for hl3, of its n^2 ordered pairs) and 90%
-of those of shamos.  A long pairwise row is not filled when it is the
-call's only row, as in the scalar API from n of about 270 (hl3, shamos) or
-380 (hl1, hl2) on, or too long to share the buffer: ``_count_middle``
-selects its two middle values by counting in its sorted pair matrix, in
-O(n log n) time and O(n) memory.  Blocks of shorter rows, as in the
-simulator and the control charts, keep the buffer.
+control charts call it on blocks.  It selects in one reused buffer of about
+2 MB per chunk of rows: O(n) memory per row for the median and the MAD,
+O(n^2) for the pairwise estimators.  Those sort each row and form only the
+pairs whose rank bounds leave them within reach of the two middle ranks, as
+X + Y selection (Johnson and Mizoguchi 1978) and the fast Qn and Sn (Croux
+and Rousseeuw 1992) do: about 45% of the values of the Hodges-Lehmann
+variants (for hl3, of its n^2 ordered pairs) and 90% of those of shamos.
+A long pairwise row is not filled when it is the call's only row, as in
+the scalar API from n of about 270 (hl3, shamos) or 380 (hl1, hl2) on, or
+too long to share the buffer: ``_count_middle`` selects its two middle
+values by counting in its sorted pair matrix, in O(n log n) time and O(n)
+memory.  Blocks of shorter rows, as in the simulator and the control
+charts, keep the buffer.  A pair value past the largest double rounds to
+an infinity without a warning.
 
 The mean and the standard deviation have two kernels: ``math.fsum`` for one
-sample in the scalar API, and numpy's row reductions for a block in
-``_row_estimates``, which the simulator and the control charts call.  The
-two may differ in the last bit.
+sample in the scalar API, and numpy's row reductions for a block, which the
+simulator and the control charts use.  The two may differ in the last bit,
+and both are finite whenever the true value is.
 """
 
 from __future__ import annotations
@@ -63,14 +69,9 @@ __all__ = [
     "PAIR_LIMIT",
 ]
 
-# Pairwise estimators accept n up to this, and callers get an explicit
-# size-limit error beyond it.  A block of rows holds the pairs of each row
-# that can be a middle value, about 45% of the n(n-1)/2 pairs for hl1 and
-# hl2, of the n^2 for hl3, and 90% for shamos, in chunks that share one
-# buffer of _BUFFER_PAIRS values; a row that is alone in its call with more
-# pairs than _CACHED_INDEX, or too long to share the buffer, is selected by
-# counting in O(n) memory instead.  So no path holds more pairs than the
-# buffer, and the limit is the same for the scalar API and the simulator.
+# Pairwise estimators accept n up to this, in the scalar API and the
+# simulator alike, and callers get an explicit size-limit error beyond it.
+# No path holds more pairs than the buffer (see the module docstring).
 PAIR_LIMIT = 10_000
 
 # Values (pairs, for the pairwise estimators) per chunk buffer: 2 MB of
@@ -93,49 +94,52 @@ _MARGIN = 64
 _GATHER = 4096
 
 
-class Estimator(str, enum.Enum):
-    """Names of the estimators handled by the factor tables and simulator."""
+# Third quartile of N(0,1), the double nearest Phi^-1(0.75).
+NORMAL_Q3 = 0.6744897501960817
 
-    MEAN = "mean"
-    MEDIAN = "median"
-    HL1 = "hl1"
-    HL2 = "hl2"
-    HL3 = "hl3"
-    STD = "std"
-    MAD = "mad"
-    SHAMOS = "shamos"
+
+class Estimator(str, enum.Enum):
+    """Names of the estimators handled by the factor tables and simulator,
+    each with its facts: ``is_location`` (else a scale), ``min_n``, the
+    smallest sample size it is defined for, its ``_row_medians`` kind (None
+    for the mean and the standard deviation) and the constant that makes it
+    consistent for sigma at the normal.  Members pickle by value, the name."""
+
+    def __new__(cls, name: str, is_location: bool, min_n: int, kind: str | None,
+                consistency: float = 1.0):
+        member = str.__new__(cls, name)
+        member._value_ = name
+        member.is_location = is_location
+        member.min_n = min_n
+        member._kind = kind
+        member._consistency = consistency
+        return member
+
+    MEAN = "mean", True, 1, None
+    MEDIAN = "median", True, 1, "median"
+    HL1 = "hl1", True, 2, "hl1"
+    HL2 = "hl2", True, 1, "hl2"
+    HL3 = "hl3", True, 1, "hl3"
+    STD = "std", False, 2, None
+    MAD = "mad", False, 2, "mad", 1.0 / NORMAL_Q3  # ~1.4826
+    SHAMOS = "shamos", False, 2, "shamos", 1.0 / (math.sqrt(2.0) * NORMAL_Q3)  # ~1.048358
 
     def __str__(self) -> str:  # argparse-friendly
         return self.value
 
     @property
-    def is_location(self) -> bool:
-        return self in (Estimator.MEAN, Estimator.MEDIAN,
-                        Estimator.HL1, Estimator.HL2, Estimator.HL3)
-
-    @property
     def is_scale(self) -> bool:
         return not self.is_location
 
-    @property
-    def min_n(self) -> int:
-        """Smallest sample size the estimator is defined for."""
-        if self in (Estimator.HL1, Estimator.STD, Estimator.MAD, Estimator.SHAMOS):
-            return 2
-        return 1
 
+# The _row_medians kinds whose values are pairs of observations.
+_PAIR_KINDS = ("shamos", "hl1", "hl2", "hl3")
 
-# Third quartile of N(0,1), the double nearest Phi^-1(0.75); the scale
-# constants make the MAD and the median of pairwise absolute differences
-# consistent for sigma at the normal.
-NORMAL_Q3 = 0.6744897501960817
-MAD_SCALE = 1.0 / NORMAL_Q3                             # ~1.4826
-PAIR_DIFF_SCALE = 1.0 / (math.sqrt(2.0) * NORMAL_Q3)    # ~1.048358
-
-# The Euclidean norm of a sample bounds every |x_i|.  Below _SAFE_SUMS no
-# pair sum x_i + x_j passes the largest double; below _SAFE_SQUARES no
-# deviation from the mean, its square or the sum of the squares does.
-_SAFE_SUMS = 2.0 ** 1022
+# Below _SAFE_PAIRS in magnitude no pair value, nor one plus or minus an
+# observation (_count_below), passes the largest double.  The Euclidean norm
+# of a sample bounds every |x_i|; below _SAFE_SQUARES no deviation from the
+# mean, its square or the sum of the squares does.
+_SAFE_PAIRS = 2.0 ** 1022
 _SAFE_SQUARES = 2.0 ** 510
 
 # The mean of n copies of v, a sum divided by n, need not be v, so the
@@ -144,23 +148,18 @@ _SAFE_SQUARES = 2.0 ** 510
 # whether the sample is constant, and is then exactly 0.
 _TIES = 2.0 ** -40
 
-# Estimators whose value is a median over pairs of observations.
-_PAIRWISE = (Estimator.SHAMOS, Estimator.HL1, Estimator.HL2, Estimator.HL3)
 
-# Estimator.min_n by name, for the scalar API: reading enum members costs
-# about 1 us a call, a large share of a small-sample estimate.
-_MIN_N = {e.value: e.min_n for e in Estimator}
-
-
-def _as_sample(values: Iterable[float], min_n: int = 1) -> np.ndarray:
-    """Validate and convert input to a finite 1-d float array."""
+def _sample(estimator: Estimator, values: Iterable[float]) -> np.ndarray:
+    """``values`` as a sample ``estimator`` takes: a finite 1-d float array of
+    ``min_n`` values or more, and at most ``PAIR_LIMIT`` for a pairwise one."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"sample must be 1-d, got an array of shape {arr.shape}")
-    if arr.size < min_n:
-        raise ValueError(f"sample of size {arr.size} given; need at least {min_n}")
+    if arr.size < estimator.min_n:
+        raise ValueError(f"sample of size {arr.size} given; need at least {estimator.min_n}")
     if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise ValueError("sample contains NaN or infinite values")
+    _check_pair_limit(estimator, arr.size)
     return arr
 
 
@@ -183,7 +182,7 @@ def select_kth(values: Iterable[float], k: int) -> float:
 
     Backed by introselect (``np.partition``), average linear time.
     """
-    arr = _as_sample(values)
+    arr = _sample(Estimator.MEDIAN, values)  # any finite sample of one value or more
     k = _check_int("k", k)
     if not 0 <= k < arr.size:
         raise ValueError(f"k={k} out of range for sample of size {arr.size}")
@@ -210,21 +209,32 @@ def _fsum_mean(values: np.ndarray, divisor: int) -> float:
 
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean (exactly-rounded sum, so permutation invariant)."""
-    arr = _as_sample(values)
-    return _fsum_mean(arr, arr.size)
+    return _estimate(Estimator.MEAN, values)
 
 
 def median(values: Iterable[float]) -> float:
     """Sample median: middle order statistic, or the average of the two
     middle order statistics when the size is even."""
-    return _row_medians(_as_sample(values)[None, :], "median").item()
+    return _estimate(Estimator.MEDIAN, values)
 
 
-def _check_pair_limit(name: str, n: int) -> None:
-    if n > PAIR_LIMIT:
-        raise ValueError(
-            f"size limit: pairwise estimator {name} supports n <= {PAIR_LIMIT}, got n={n}"
-        )
+def _check_pair_limit(estimator: Estimator, n: int) -> None:
+    if n > PAIR_LIMIT and estimator._kind in _PAIR_KINDS:
+        raise ValueError(f"size limit: pairwise estimator {estimator.value} "
+                         f"supports n <= {PAIR_LIMIT}, got n={n}")
+
+
+def _estimate(estimator: Estimator, values: Iterable[float], consistent: bool = True) -> float:
+    """``estimator`` of one sample, a scale consistent unless ``consistent``
+    is false: the scalar API's one path."""
+    return _row_estimates(estimator, _sample(estimator, values), consistent)
+
+
+def _multiset_size(kind: str, n: int) -> int:
+    """How many values ``_row_medians`` takes the median of in a row of n:
+    n, or the pairs i < j (shamos, hl1), i <= j (hl2) or all (i, j) (hl3)."""
+    return {"median": n, "mad": n, "shamos": n * (n - 1) // 2, "hl1": n * (n - 1) // 2,
+            "hl2": n * (n + 1) // 2, "hl3": n * n}[kind]
 
 
 def _pair_counts(kind: str, n: int, i: np.ndarray, j: np.ndarray):
@@ -282,8 +292,7 @@ def _pair_plan(n: int, kind: str) -> _PairPlan:
     O(n); the cache holds every (n, kind) of a typical session.
     """
     first = 1 if kind in ("shamos", "hl1") else 0
-    m = {"shamos": n * (n - 1) // 2, "hl1": n * (n - 1) // 2,
-         "hl2": n * (n + 1) // 2, "hl3": n * n}[kind]
+    m = _multiset_size(kind, n)
     lo_rank, hi_rank = (m - 1) // 2, m // 2
     i = np.arange(n)
 
@@ -415,15 +424,6 @@ def _middle_of_windows(s: np.ndarray, kind: str, starts: np.ndarray,
     return middles[order[at:at + 1]]
 
 
-def _count_median(s: np.ndarray, plan: _PairPlan, half: float, out: np.ndarray):
-    """``_midpoint`` of the middle values that ``_count_middle`` selects;
-    ``t - s[i]`` and the pair values of a row near the largest double may
-    overflow, and the counts compare the rounded values, infinities too."""
-    with np.errstate(over="ignore"):
-        lo, hi = _count_middle(s, plan)
-    return _midpoint(lo, hi, half, out)
-
-
 def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
     """The values at ``plan.ranks`` among the pairs ``plan`` keeps of the
     sorted row ``s``, selected by counting in its pair matrix without
@@ -435,11 +435,13 @@ def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
     middle ranks.  At first it is the plan's, which leaves out pairs no
     larger than the lower middle value and no smaller than the upper one;
     each round then cuts off pairs below the upper middle value at the
-    windows' left ends and above it at their right ends.  A round takes two pivots from a systematic sample of the pairs in the
-    windows, ``_MARGIN`` sample ranks either side of the one expected at the
-    rank, counts the values below and at most each pivot
-    (``_count_below``), and narrows the windows to the values strictly
-    between the two pivots the rank lies between.  A pivot whose run of
+    windows' left ends and above it at their right ends.  A round takes two
+    pivots from a systematic sample of the pairs in the windows,
+    ``_MARGIN`` sample ranks either side of the one expected at the rank,
+    counts the values below and at most each pivot (``_count_below``), and
+    narrows the windows to the values strictly between the two pivots the
+    rank lies between.  Near the largest double the counts compare the
+    rounded values, infinities too.  A pivot whose run of
     equal values holds the rank is the answer, so heavy ties cost no more
     than distinct values.  A round that leaves more than half of the pairs
     is followed by one whose pivot, the weighted median of the windows'
@@ -535,7 +537,8 @@ def _negatives(row: np.ndarray, kind: str) -> int:
     return distinct + negative + z if kind == "hl2" else distinct
 
 
-def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
+def _row_medians(block: np.ndarray, kind: str,
+                 raw: np.ndarray | None = None) -> np.ndarray:
     """Median of the values of each row of a (rows, n) float array: the row
     itself for "median", ``|x_i - median|`` for "mad" and ``|x_i - x_j|``
     for "shamos" (both unscaled), ``0.5 * (x_i + x_j)`` for "hl1", "hl2"
@@ -544,15 +547,28 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
     in chunks whose values fill one reused buffer, selected in place; the
     pairwise kinds form only the pairs ``_pair_plan`` keeps, and a row whose
     plan caches no index is counted in by ``_count_middle`` instead when it
-    is the only row or too long to share the buffer.
+    is the only row or too long to share the buffer.  Where the sorted rows'
+    extremes reach ``_SAFE_PAIRS``, a pair value past the largest double is
+    rounded to an infinity without a warning.  ``raw`` holds the unsorted
+    rows when ``block`` is given already sorted.
     """
     rows, n = block.shape
+    if raw is None:
+        raw = block
+        if kind in _PAIR_KINDS:
+            block = np.sort(block, axis=1)
+            if rows == 1:
+                low, high = block.item(0, 0), block.item(0, n - 1)
+            else:
+                low, high = block[:, 0].min(), block[:, -1].max()
+            if max(-low, high) >= _SAFE_PAIRS:
+                with np.errstate(over="ignore"):
+                    return _row_medians(block, kind, raw)
     hl = kind in ("hl1", "hl2", "hl3")
     # Halving is monotone, so the Hodges-Lehmann sums are selected and only
     # the two middle ones halved: the same doubles as halving every pair.
     half = 0.5 if hl else 1.0
-    raw = block
-    if kind in ("median", "mad"):
+    if kind not in _PAIR_KINDS:
         plan, index, count = None, None, False
         m, ranks, middle = n, ((n - 1) // 2, n // 2), n // 2
         short = _SHORT_ROW
@@ -564,7 +580,6 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
         count = index is None and (rows == 1 or m > _BUFFER_PAIRS)
         if index is None and not count:
             index = _pair_index(plan)
-        block = np.sort(block, axis=1)
     step = 1 if count else _BUFFER_PAIRS // m or 1
     buf = None if count else np.empty((min(rows, step), m))
     out = np.empty(rows)
@@ -572,7 +587,7 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
         chunk = block[start:start + step]
         medians = out[start:start + len(chunk)]
         if count:
-            zeros, infinite = _count_median(chunk[0], plan, half, medians)
+            zeros, infinite = _midpoint(*_count_middle(chunk[0], plan), half, medians)
         else:
             pairs = buf[:len(chunk)]
             _fill_pairs(chunk, plan, index, pairs)
@@ -589,7 +604,7 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
             for r in infinite:
                 again = 0.5 * chunk[r]
                 if count:
-                    _count_median(again, plan, 1.0, medians[r:r + 1])
+                    _midpoint(*_count_middle(again, plan), 1.0, medians[r:r + 1])
                 else:
                     _fill_pairs(again[None, :], plan, index, pairs[r:r + 1])
                     _select_medians(pairs[r:r + 1], ranks, 1.0, short, medians[r:r + 1])
@@ -657,24 +672,56 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
     return np.flatnonzero((lo == 0) & (hi == 0)), infinite
 
 
-def _row_estimates(estimator: Estimator, block: np.ndarray) -> np.ndarray:
-    """Estimator value (scales consistent) per row of a (rows, n) block."""
-    if estimator == Estimator.MEAN:
-        return block.mean(axis=1)
-    if estimator == Estimator.STD:
-        s = block.std(axis=1, ddof=1)
-        rows = np.flatnonzero(s <= _TIES * np.abs(block[:, 0]))
-        if rows.size:
-            tied = block[rows]
-            s[rows[tied.min(axis=1) == tied.max(axis=1)]] = 0.0
-        return s
-    if estimator == Estimator.MAD:
-        return _row_medians(block, "mad") * MAD_SCALE
-    if estimator == Estimator.SHAMOS:
-        return _row_medians(block, "shamos") * PAIR_DIFF_SCALE
-    if estimator == Estimator.MEDIAN or estimator in _PAIRWISE:
-        return _row_medians(block, estimator.value)
-    raise ValueError(f"unsupported estimator {estimator}")
+def _row_estimates(estimator: Estimator, rows: np.ndarray, consistent: bool = True):
+    """``estimator`` of each row of a (rows, n) block, as an array, or of one
+    sample, a 1-d array, as a float; a scale is consistent unless
+    ``consistent`` is false.  The order-statistic estimators are the
+    ``_row_medians`` of their kind; the mean and the standard deviation sum
+    one sample exactly and a block by numpy's row reductions, but a block
+    row whose sum or variance passes the largest double is summed exactly."""
+    kind = estimator._kind
+    if kind is not None:
+        if rows.ndim == 1:
+            raw = _row_medians(rows[None, :], kind).item()
+        else:
+            raw = _row_medians(rows, kind)
+        return raw * estimator._consistency if consistent else raw
+    if rows.ndim == 1:
+        return _fsum_mean(rows, rows.size) if estimator.is_location else _sample_sd(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rows.mean(axis=1) if estimator.is_location else rows.std(axis=1, ddof=1)
+    for r in np.flatnonzero(~np.isfinite(out)):
+        out[r] = _row_estimates(estimator, rows[r])
+    if not estimator.is_location:
+        tied = np.flatnonzero(out <= _TIES * np.abs(rows[:, 0]))
+        if tied.size:
+            values = rows[tied]
+            out[tied[values.min(axis=1) == values.max(axis=1)]] = 0.0
+    return out
+
+
+def _fsum_sd(arr: np.ndarray) -> float:
+    """Standard deviation (n-1 denominator) of one sample, summed exactly."""
+    dev = arr - _fsum_mean(arr, arr.size)
+    # squared with libm's pow, as ``d ** 2`` of each scalar is: ``dev * dev``
+    # (an array's ``dev ** 2``) differs from it in the last bit for a few
+    # values, and the scalar loop is the reference
+    return math.sqrt(_fsum_mean(np.float_power(dev, 2.0), arr.size - 1))
+
+
+def _sample_sd(arr: np.ndarray) -> float:
+    """``_fsum_sd``, 0 for a constant sample and finite whenever the
+    standard deviation is."""
+    if math.hypot(*arr.tolist()) < _SAFE_SQUARES:
+        s = _fsum_sd(arr)
+    else:
+        with np.errstate(over="ignore"):
+            s = _fsum_sd(arr)
+        if s == math.inf:
+            # the variance passed the largest double, though the standard
+            # deviation may not: compute it for the data scaled by 2**-600
+            s = _fsum_sd(arr * 2.0 ** -600) * 2.0 ** 600
+    return 0.0 if s <= _TIES * abs(arr.item(0)) and arr.min() == arr.max() else s
 
 
 def hodges_lehmann(values: Iterable[float], variant: str = "hl1") -> float:
@@ -691,29 +738,22 @@ def hodges_lehmann(values: Iterable[float], variant: str = "hl1") -> float:
     variant = str(variant).lower()
     if variant not in ("hl1", "hl2", "hl3"):
         raise ValueError(f"unknown Hodges-Lehmann variant: {variant!r}")
-    arr = _as_sample(values, _MIN_N[variant])
-    _check_pair_limit(variant, arr.size)
-    if math.hypot(*arr.tolist()) < _SAFE_SUMS:
-        return _row_medians(arr[None, :], variant).item()
-    # a pair sum may pass the largest double, and the kernel then selects
-    # again among the sums of halved values
-    with np.errstate(over="ignore"):
-        return _row_medians(arr[None, :], variant).item()
+    return _estimate(Estimator(variant), values)
 
 
 def hl1(values: Iterable[float]) -> float:
     """Median of averages over distinct pairs i < j."""
-    return hodges_lehmann(values, "hl1")
+    return _estimate(Estimator.HL1, values)
 
 
 def hl2(values: Iterable[float]) -> float:
     """Median of Walsh averages (pairs i <= j)."""
-    return hodges_lehmann(values, "hl2")
+    return _estimate(Estimator.HL2, values)
 
 
 def hl3(values: Iterable[float]) -> float:
     """Median of averages over all ordered pairs (i, j)."""
-    return hodges_lehmann(values, "hl3")
+    return _estimate(Estimator.HL3, values)
 
 
 def mad(values: Iterable[float], consistent: bool = True) -> float:
@@ -722,9 +762,7 @@ def mad(values: Iterable[float], consistent: bool = True) -> float:
     With ``consistent=True`` the result is divided by the normal third
     quartile so it estimates sigma under a normal population.
     """
-    arr = _as_sample(values, _MIN_N["mad"])
-    raw = _row_medians(arr[None, :], "mad").item()
-    return raw * MAD_SCALE if consistent else raw
+    return _estimate(Estimator.MAD, values, consistent)
 
 
 def shamos(values: Iterable[float], consistent: bool = True) -> float:
@@ -735,19 +773,7 @@ def shamos(values: Iterable[float], consistent: bool = True) -> float:
     infinite only when the middle difference itself exceeds the largest
     double, as for ``[-1.7e308, 1.7e308]``.
     """
-    arr = _as_sample(values, _MIN_N["shamos"])
-    _check_pair_limit("shamos", arr.size)
-    raw = _row_medians(arr[None, :], "shamos").item()
-    return raw * PAIR_DIFF_SCALE if consistent else raw
-
-
-def _sample_sd(arr: np.ndarray) -> float:
-    """Standard deviation (n-1 denominator) of one sample, summed exactly."""
-    dev = arr - _fsum_mean(arr, arr.size)
-    # squared with libm's pow, as ``d ** 2`` of each scalar is: ``dev * dev``
-    # (an array's ``dev ** 2``) differs from it in the last bit for a few
-    # values, and the scalar loop is the reference
-    return math.sqrt(_fsum_mean(np.float_power(dev, 2.0), arr.size - 1))
+    return _estimate(Estimator.SHAMOS, values, consistent)
 
 
 def std_dev(values: Iterable[float], unbiased_c4: bool = False) -> float:
@@ -758,20 +784,8 @@ def std_dev(values: Iterable[float], unbiased_c4: bool = False) -> float:
     whenever the standard deviation is, even past a variance of the
     largest double, as for ``[1e200, -1e200, 0.0]``.
     """
-    arr = _as_sample(values, _MIN_N["std"])
-    if math.hypot(*arr.tolist()) < _SAFE_SQUARES:
-        s = _sample_sd(arr)
-    else:
-        with np.errstate(over="ignore"):
-            s = _sample_sd(arr)
-        if s == math.inf:
-            # the variance passed the largest double, though the standard
-            # deviation may not: compute it for the data scaled by 2**-600
-            s = _sample_sd(arr * 2.0 ** -600) * 2.0 ** 600
-    if s <= _TIES * abs(arr.item(0)) and arr.min() == arr.max():
-        s = 0.0
     if unbiased_c4:
-        from .factors import c4
+        from .factors import _unbiased
 
-        s /= c4(arr.size)
-    return s
+        return _unbiased(Estimator.STD, values)
+    return _estimate(Estimator.STD, values)

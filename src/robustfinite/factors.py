@@ -12,6 +12,10 @@ n <= 100 ship as CSV tables under ``data/`` (values exactly as tabulated,
 4 or 7 decimals); beyond the tables, published regression models in 1/n
 take over.  ``factor_set`` bundles everything for one n and records which
 source supplied each value.
+
+``_UNBIASING`` and ``_VARIANCES`` are the one map from a scale estimator to
+its unbiasing factor and variance; its other facts live on its
+``Estimator`` member.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .estimators import Estimator, _as_sample, _check_int, mad, shamos
+from .estimators import Estimator, _check_int, _row_estimates, _sample
 
 __all__ = [
     "c4",
@@ -141,21 +145,22 @@ _BIAS_MODELS = {
 }
 
 
+def _bias(estimator: Estimator, n: int, model: str) -> float:
+    n = _check_int("n", n, 2)
+    if n <= TABLE_N_MAX:
+        return load_table("bias_table")[n][f"{estimator.value}_bias"]
+    return _BIAS_MODELS[(estimator.value, model)].evaluate(n)
+
+
 def mad_bias(n: int, model: str = "hayes") -> float:
     """Finite-sample bias of the consistent MAD at N(0,1): table value for
     n <= 100, fitted model beyond."""
-    n = _check_int("n", n, 2)
-    if n <= TABLE_N_MAX:
-        return load_table("bias_table")[n]["mad_bias"]
-    return _BIAS_MODELS[("mad", model)].evaluate(n)
+    return _bias(Estimator.MAD, n, model)
 
 
 def shamos_bias(n: int, model: str = "hayes") -> float:
     """Finite-sample bias of the consistent pairwise scale estimator."""
-    n = _check_int("n", n, 2)
-    if n <= TABLE_N_MAX:
-        return load_table("bias_table")[n]["shamos_bias"]
-    return _BIAS_MODELS[("shamos", model)].evaluate(n)
+    return _bias(Estimator.SHAMOS, n, model)
 
 
 def c5(n: int, model: str = "hayes") -> float:
@@ -209,24 +214,29 @@ def variance_model_eval(estimator: Estimator | str, n: float) -> float:
     return c + p / n + q / (n * n)
 
 
-def v5(n: int) -> float:
-    """Variance of the consistent MAD at N(0,1) for a sample of size n."""
+def _variance(estimator: Estimator, n: int) -> float:
     n = _check_int("n", n, 2)
     if n <= TABLE_N_MAX:
-        ratio = load_table("nvar_table")[n]["mad_ratio"]
+        ratio = load_table("nvar_table")[n][f"{estimator.value}_ratio"]
     else:
-        ratio = variance_model_eval(Estimator.MAD, n)
+        ratio = variance_model_eval(estimator, n)
     return ratio * (1.0 - c4(n) ** 2)
+
+
+def v5(n: int) -> float:
+    """Variance of the consistent MAD at N(0,1) for a sample of size n."""
+    return _variance(Estimator.MAD, n)
 
 
 def v6(n: int) -> float:
     """Variance of the consistent pairwise scale estimator at N(0,1)."""
-    n = _check_int("n", n, 2)
-    if n <= TABLE_N_MAX:
-        ratio = load_table("nvar_table")[n]["shamos_ratio"]
-    else:
-        ratio = variance_model_eval(Estimator.SHAMOS, n)
-    return ratio * (1.0 - c4(n) ** 2)
+    return _variance(Estimator.SHAMOS, n)
+
+
+# Each scale estimator's unbiasing factor at the normal (model "hayes"
+# beyond the tables), and the variance of the consistent robust ones.
+_UNBIASING = {Estimator.STD: c4, Estimator.MAD: c5, Estimator.SHAMOS: c6}
+_VARIANCES = {Estimator.MAD: v5, Estimator.SHAMOS: v6}
 
 
 @dataclass(frozen=True)
@@ -262,30 +272,35 @@ def factor_set(n: int, model: str = "hayes") -> FactorSet:
     )
 
 
+def _unbiased(estimator: Estimator, values, squared: bool = False) -> float:
+    """The consistent scale ``estimator`` of one sample divided by its
+    unbiasing factor, or with ``squared`` its square divided by the expected
+    square, variance plus factor squared."""
+    arr = _sample(estimator, values)
+    value, factor = _row_estimates(estimator, arr), _UNBIASING[estimator](arr.size)
+    if squared:
+        return value ** 2 / (_VARIANCES[estimator](arr.size) + factor ** 2)
+    return value / factor
+
+
 def unbiased_mad(values) -> float:
     """MAD rescaled to be unbiased for sigma at the normal: mad/c5(n)."""
-    arr = _as_sample(values)
-    return mad(arr) / c5(arr.size)
+    return _unbiased(Estimator.MAD, values)
 
 
 def unbiased_shamos(values) -> float:
     """Pairwise scale estimator rescaled to be unbiased: shamos/c6(n)."""
-    arr = _as_sample(values)
-    return shamos(arr) / c6(arr.size)
+    return _unbiased(Estimator.SHAMOS, values)
 
 
 def unbiased_mad_sq(values) -> float:
     """Unbiased estimator of sigma^2: mad^2 / (v5(n) + c5(n)^2)."""
-    arr = _as_sample(values)
-    n = arr.size
-    return mad(arr) ** 2 / (v5(n) + c5(n) ** 2)
+    return _unbiased(Estimator.MAD, values, squared=True)
 
 
 def unbiased_shamos_sq(values) -> float:
     """Unbiased estimator of sigma^2: shamos^2 / (v6(n) + c6(n)^2)."""
-    arr = _as_sample(values)
-    n = arr.size
-    return shamos(arr) ** 2 / (v6(n) + c6(n) ** 2)
+    return _unbiased(Estimator.SHAMOS, values, squared=True)
 
 
 def relative_efficiency(estimator: Estimator | str, n: int) -> float:

@@ -11,9 +11,8 @@ A shift moves only the corrupted subgroup, so each replication block
 computes the clean subgroups' scales once and recomputes only that
 subgroup for every delta.
 
-Every subgroup mean and scale is a row of ``_row_estimates``: numpy's row
-sums for the mean and the standard deviation (the scalar API sums exactly,
-so the two may differ in the last bit), the shared median kernel else.
+Every subgroup mean and scale is a row of ``_row_estimates``, and the
+chart scales and their factors are those of ``factors._UNBIASING``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .calibration import _CONTAMINATION_DOMAIN, _Moments, _run_blocks
 from .estimators import Estimator, _check_int, _row_estimates
-from .factors import c4, c5, c6
+from .factors import _UNBIASING, c4, c5, c6
 
 __all__ = [
     "a3",
@@ -43,10 +42,7 @@ __all__ = [
     "EXPERIMENT_METHODS",
 ]
 
-# Each subgroup scale: its row estimator and the factor that unbiases it at
-# the normal.  A chart method is named "<scale>-<factor>".
-_SCALES = {"std": (Estimator.STD, c4), "mad": (Estimator.MAD, c5),
-           "shamos": (Estimator.SHAMOS, c6)}
+# A chart method is named "<scale>-<factor>", its scale one of _UNBIASING.
 CHART_METHODS = ("std-c4", "mad-c5", "shamos-c6")
 
 # raw/unbiased pairs measured by the contamination experiment
@@ -129,10 +125,11 @@ def chart_limits(series: SubgroupSeries, method: str = "std-c4") -> ChartLimits:
     if method not in CHART_METHODS:
         raise ValueError(f"method must be one of {CHART_METHODS}, got {method!r}")
     n = series.n
-    estimator, unbias = _SCALES[method.partition("-")[0]]
+    estimator = Estimator(method.partition("-")[0])
     scales = _row_estimates(estimator, series.data)
-    half = 3.0 / (unbias(n) * math.sqrt(n)) * float(scales.mean())
-    center = float(series.means.mean())
+    # the mean scale and the center line, averaged as rows are: without overflow
+    s_bar, center = _row_estimates(Estimator.MEAN, np.stack([scales, series.means])).tolist()
+    half = 3.0 / (_UNBIASING[estimator](n) * math.sqrt(n)) * s_bar
     return ChartLimits(
         center=center,
         ucl=center + half,
@@ -182,22 +179,21 @@ def read_subgroups(path) -> SubgroupSeries:
 
 
 def _subgroup_scales(data: np.ndarray) -> list[np.ndarray]:
-    """Each scale of _SCALES of every subgroup of a (reps, k, n) array, as a
-    (reps, k) array.  A subgroup's scales depend on its own n values only."""
+    """Each scale of _UNBIASING of every subgroup of a (reps, k, n) array, as
+    a (reps, k) array.  A subgroup's scales depend on its own n values only."""
     reps, k, n = data.shape
     rows = data.reshape(-1, n)
-    return [_row_estimates(estimator, rows).reshape(reps, k)
-            for estimator, _ in _SCALES.values()]
+    return [_row_estimates(estimator, rows).reshape(reps, k) for estimator in _UNBIASING]
 
 
 def _estimates_from_scales(n: int, scales: list[np.ndarray]) -> dict[str, np.ndarray]:
     """Per-replication three-sigma estimates from the (reps, k) subgroup
     scales of _subgroup_scales, one entry per method in EXPERIMENT_METHODS."""
     out = {}
-    for (name, (_, unbias)), scale in zip(_SCALES.items(), scales):
+    for (estimator, unbias), scale in zip(_UNBIASING.items(), scales):
         s_bar = scale.mean(axis=1)
-        out[name] = 3.0 * s_bar
-        out[f"unbiased-{name}"] = 3.0 * s_bar / unbias(n)
+        out[estimator.value] = 3.0 * s_bar
+        out[f"unbiased-{estimator.value}"] = 3.0 * s_bar / unbias(n)
     return out
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from robustfinite import estimators, factors
 from robustfinite.cli import main
 
 
@@ -45,6 +46,22 @@ class TestEstimate:
             code, out, _ = run_cli(capsys, "estimate", "--estimator", est,
                                    "--input", obs_file)
             assert code == 0, est
+
+    def test_estimates_match_the_api(self, capsys, obs_file):
+        values = [1.0, 2.0, 3.0]
+        runs = [((est,), fn(values)) for est, fn in (
+            ("mean", estimators.mean), ("median", estimators.median),
+            ("hl1", estimators.hl1), ("hl2", estimators.hl2), ("hl3", estimators.hl3),
+            ("std", estimators.std_dev), ("mad", estimators.mad),
+            ("shamos", estimators.shamos))]
+        runs += [((est, "--unbiased"), fn(values)) for est, fn in (
+            ("std", lambda x: estimators.std_dev(x, unbiased_c4=True)),
+            ("mad", factors.unbiased_mad), ("shamos", factors.unbiased_shamos))]
+        for (est, *flags), want in runs:
+            code, out, _ = run_cli(capsys, "estimate", "--estimator", est, *flags,
+                                   "--input", obs_file)
+            assert code == 0, est
+            assert data_lines(out)[1] == f"{est},3,{want:.10g}", (est, flags)
 
     def test_metadata_line_carries_flags(self, capsys, obs_file):
         _, out, _ = run_cli(capsys, "estimate", "--estimator", "mean",

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -307,3 +308,41 @@ def test_estimator_enum_properties():
     assert {e.value for e in Estimator} == {
         "mean", "median", "hl1", "hl2", "hl3", "std", "mad", "shamos"
     }
+
+
+SCALAR_FUNCTIONS = {"mean": mean, "median": median, "hl1": hl1, "hl2": hl2, "hl3": hl3,
+                    "std": std_dev, "mad": mad, "shamos": shamos}
+
+
+@pytest.mark.parametrize("estimator", list(Estimator))
+def test_scalar_function_takes_min_n(estimator):
+    fn = SCALAR_FUNCTIONS[estimator.value]
+    n = estimator.min_n
+    with pytest.raises(ValueError, match=f"size {n - 1} given; need at least {n}"):
+        fn([2.5] * (n - 1))
+    assert fn([2.5] * n) == (2.5 if estimator.is_location else 0.0)
+    # the process pool sends members to its workers
+    assert pickle.loads(pickle.dumps(estimator)) is estimator
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_mean_and_std_near_largest_double():
+    # A row whose sum or variance passes the largest double is computed
+    # again from scaled values, as the scalar functions do; the other rows
+    # keep numpy's bits.
+    from robustfinite.estimators import _row_estimates
+
+    big = 1.7e308
+    block = np.random.default_rng(5).normal(size=(7, 5))
+    block[2] = big
+    block[4] = [big, 1.5e308, -1e308, 1.2e308, big]
+    block[5] = [1e200, -1e200, 0.0, 1.0, 2.0]
+    block[6, 1] = -big
+    for estimator, scalar, rows in ((Estimator.MEAN, mean, [2, 4]),
+                                    (Estimator.STD, std_dev, [2, 4, 5, 6])):
+        with np.errstate(all="ignore"):
+            want = (block.mean(axis=1) if estimator.is_location
+                    else block.std(axis=1, ddof=1))
+        want[rows] = [scalar(block[r]) for r in rows]
+        assert np.isfinite(want).all()
+        assert _row_estimates(estimator, block).tolist() == want.tolist(), estimator

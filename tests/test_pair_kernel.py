@@ -8,6 +8,7 @@ Every comparison is at ``float.hex`` equality, so signed zeros count.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -369,3 +370,28 @@ def test_counting_in_many_rounds_matches_filled_block(kind, monkeypatch):
             got = _row_medians(x[None, :], kind)[0]
         assert [v.hex() for v in filled] == [got.hex()] * 2, (kind, list(x))
     assert fallbacks
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_pair_overflow_does_not_warn(kind, counted):
+    # Pair values past the largest double round to infinities without a
+    # RuntimeWarning, in the scalar API and in filled blocks and counted
+    # rows alike, and the medians stay those of the rounded pairs.
+    rng = np.random.default_rng(29)
+    blocks = []
+    for n in (2, 5, 40, COUNTED_FROM[kind] + 1):
+        block = rng.uniform(-1, 1, (2, n)) * 1.7e308
+        block[1, : n // 2] = np.abs(block[1, : n // 2])
+        with np.errstate(over="ignore"):
+            blocks.append((block, [sorted_reference(x, kind, halved=kind != "shamos").hex()
+                                   for x in block]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "shamos":
+            x = np.random.default_rng(0).uniform(-1, 1, 100) * 1.7e308
+            assert est.shamos(x) == 1.0990932061473503e+308
+        for block, want in blocks:
+            assert [v.hex() for v in _row_medians(block, kind)] == want, kind
+            assert [_row_medians(x[None, :], kind)[0].hex() for x in block] == want, kind
+            assert [SCALAR[kind](x).hex() for x in block] == want, kind
+    assert counted == [COUNTED_FROM[kind] + 1] * 4

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from robustfinite import spc
 from robustfinite.calibration import BLOCK_SIZE, _block_rng, _Moments
 from robustfinite.estimators import mad as scalar_mad
+from robustfinite.estimators import mean as scalar_mean
 from robustfinite.estimators import shamos as scalar_shamos
 from robustfinite.estimators import std_dev as scalar_std
 from robustfinite.factors import c4, c5, c6
@@ -335,3 +337,24 @@ class TestContaminationExperiment:
             contamination_experiment(replications=50)
         with pytest.raises(ValueError):
             contamination_experiment(n=5, corrupt_count=6, replications=200)
+
+
+def test_chart_limits_near_largest_double():
+    # Subgroup sums, variances and pair differences and the sum of the
+    # subgroup means pass the largest double, though the limits do not:
+    # they follow the scalar functions, and nothing warns.
+    big = 1.7e308
+    data = np.random.default_rng(4).uniform(0.8, 1.0, (20, 5)) * big
+    data[:, 0] *= -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tied = chart_limits(SubgroupSeries(np.full((3, 2), big)), "std-c4")
+        assert tied.center == tied.ucl == tied.lcl == pytest.approx(big, rel=1e-15)
+        assert tied.three_sigma == 0.0
+        center = scalar_mean([scalar_mean(row) for row in data])
+        for method, scale, unbias in (("std-c4", scalar_std, c4),
+                                      ("shamos-c6", scalar_shamos, c6)):
+            limits = chart_limits(SubgroupSeries(data), method)
+            want = 3.0 * scalar_mean([scale(row) for row in data]) / unbias(5)
+            assert limits.center == pytest.approx(center, rel=1e-14), method
+            assert limits.three_sigma == pytest.approx(want, rel=1e-14), method
