@@ -36,8 +36,14 @@ the scalar API from n of about 270 (hl3, shamos) or 380 (hl1, hl2) on, or
 too long to share the buffer: ``_count_middle`` selects its two middle
 values by counting in its sorted pair matrix, in O(n log n) time and O(n)
 memory.  Blocks of shorter rows, as in the simulator and the control
-charts, keep the buffer.  A pair value past the largest double rounds to
-an infinity without a warning.
+charts, keep the buffer, and ``_select_medians`` picks how a chunk's rows
+are selected by their length m: up to 9 values, in blocks of 1024 rows or
+more, a pruned odd-even merge network (Batcher 1968) runs over whole
+columns of a column-major buffer, one ``np.minimum``/``np.maximum`` pair
+per comparator for all rows at once; up to 256 values each row is sorted;
+longer rows are partitioned.  A pair value, a MAD deviation or a scale
+times its consistency constant past the largest double rounds to an
+infinity without a warning.
 
 The mean and the standard deviation have two kernels: ``math.fsum`` for one
 sample in the scalar API, and numpy's row reductions for a block, which the
@@ -78,13 +84,22 @@ PAIR_LIMIT = 10_000
 # doubles, small enough to stay in cache while a chunk is built and selected.
 _BUFFER_PAIRS = 1 << 18
 
-# Up to this many values, one row is sorted; longer rows and blocks select
-# the upper middle value and take the lower one as the max of the left part.
-# A pairwise row of a sorted sample is made of runs already sorted by i, and
+# Up to this many values, one row is sorted; longer rows select the upper
+# middle value and take the lower one as the max of the left part.  A
+# pairwise row of a sorted sample is made of runs already sorted by i, and
 # sorting it stays cheaper than selecting up to about 700 values (measured
 # on _fill_pairs output of hl1, hl2, hl3 and shamos at n = 14..78).
 _SHORT_ROW = 128
 _SHORT_PAIRS = 700
+
+# A block's rows of up to _NETWORK_ROW values go through a sorting network
+# applied to whole columns, once there are _NETWORK_BLOCK rows or more to
+# pay for its numpy call per comparator; rows of up to _SORT_ROW values are
+# sorted, and longer ones select as one long row does (crossover tables in
+# CHANGES.md).
+_NETWORK_ROW = 9
+_NETWORK_BLOCK = 1024
+_SORT_ROW = 256
 
 # _count_middle samples this many of the pairs left in a round, takes the
 # pivots this many sample ranks either side of the one expected at the
@@ -141,6 +156,11 @@ _PAIR_KINDS = ("shamos", "hl1", "hl2", "hl3")
 # mean, its square or the sum of the squares does.
 _SAFE_PAIRS = 2.0 ** 1022
 _SAFE_SQUARES = 2.0 ** 510
+
+# x - median rounds past the largest double only when the exact difference
+# reaches it plus half its ulp, 2**970; |x| is at most the largest double,
+# so only when |median| reaches 2**970.
+_SAFE_CENTRE = 2.0 ** 970
 
 # The mean of n copies of v, a sum divided by n, need not be v, so the
 # standard deviation of a constant sample can come out as a few ulps of v.
@@ -368,9 +388,14 @@ def _fill_pairs(rows: np.ndarray, plan: _PairPlan | None, index,
         # and repeat, which are faster on many rows
         row = rows[0]
         op(row[j], row[i], out=out[0])
-    else:
+    elif out.flags.c_contiguous:
         np.take(rows, j, axis=1, out=out, mode="clip")
         op(out, np.repeat(rows, counts, axis=1), out=out)
+    else:
+        # a column-major buffer, as a sorting network takes its rows: one
+        # column at a time, where take would fill a copy of ``out``
+        for c, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+            op(rows[:, b], rows[:, a], out=out[:, c])
 
 
 def _pair_values(s: np.ndarray, kind: str, i, j):
@@ -581,7 +606,13 @@ def _row_medians(block: np.ndarray, kind: str,
         if index is None and not count:
             index = _pair_index(plan)
     step = 1 if count else _BUFFER_PAIRS // m or 1
-    buf = None if count else np.empty((min(rows, step), m))
+    if count:
+        buf = None
+    elif rows >= _NETWORK_BLOCK and m <= _NETWORK_ROW:
+        # column-major, so that each column a network compares is contiguous
+        buf = np.empty((m, min(rows, step))).T
+    else:
+        buf = np.empty((min(rows, step), m))
     out = np.empty(rows)
     for start in range(0, rows, step):
         chunk = block[start:start + step]
@@ -592,10 +623,23 @@ def _row_medians(block: np.ndarray, kind: str,
             pairs = buf[:len(chunk)]
             _fill_pairs(chunk, plan, index, pairs)
             if kind == "mad":
-                # deviations from the median, in place: none is -0.0 after
-                # abs, so the sign of a zero median does not matter
+                # Deviations from the median, formed from the chunk, since a
+                # network leaves in the buffer only the values it reads.
+                # None is -0.0 after abs, so the sign of a zero median does
+                # not matter.  Only a median of _SAFE_CENTRE or more lets
+                # one pass the largest double; it then rounds to an infinity.
                 _select_medians(pairs, ranks, 1.0, short, medians)
-                pairs -= medians[:, None]
+                if len(chunk) == 1:
+                    centre = medians.item(0)
+                    far = abs(centre)
+                else:
+                    centre = medians[:, None]
+                    far = np.maximum.reduce(np.abs(medians))
+                if far < _SAFE_CENTRE:
+                    np.subtract(chunk, centre, out=pairs)
+                else:
+                    with np.errstate(over="ignore"):
+                        np.subtract(chunk, centre, out=pairs)
                 np.abs(pairs, out=pairs)
             zeros, infinite = _select_medians(pairs, ranks, half, short, medians)
         if hl:
@@ -641,9 +685,18 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
     """Write each row's median into ``out``: the value at the two equal
     ``ranks``, or the midpoint of the values at the two ranks, each scaled
     by ``half``; return the rows whose middle values are zeros and the rows
-    whose median is infinite, as ``_midpoint`` does.  A single row of at
-    most ``short`` values is sorted, others are selected in.  Reorders the
-    rows in place."""
+    whose median is infinite, as ``_midpoint`` does.
+
+    A single row of at most ``short`` values is sorted, a longer one
+    selected in.  A block's rows are chosen by their length m: up to
+    ``_NETWORK_ROW`` values, in a block of ``_NETWORK_BLOCK`` rows or more,
+    they go through the pruned sorting network of ``_network``, one
+    ``np.minimum`` or ``np.maximum`` per comparator over a whole column
+    (fastest when ``values`` is column-major); otherwise up to
+    ``_SORT_ROW`` values each row is sorted; longer rows are partitioned at
+    the upper middle rank, the lower one being the max of the left part.
+    Overwrites ``values``, which afterwards need not hold the rows'
+    values, and uses ``out`` as scratch before writing it."""
     rows, m = values.shape
     low, k = ranks
     if rows == 1:
@@ -657,11 +710,21 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
             values.partition(k, axis=1)
             lo = values.item(0, k) if low == k else values[0, :k].max().item()
         return _midpoint(lo, values.item(0, k), half, out)
-    # numpy selects one kth with a vectorised quickselect but several with a
-    # scalar introselect, which costs more than a max-reduce call
-    values.partition(k, axis=1)
-    hi = half * values[:, k]
-    lo = hi if low == k else half * np.maximum.reduce(values[:, :k], axis=1)
+    if rows >= _NETWORK_BLOCK and m <= _NETWORK_ROW:
+        columns = list(values.T)
+        _run_network(_network(m, (low, k)), columns, out)
+        lo, hi = columns[low], columns[k]
+    elif m <= _SORT_ROW:
+        values.sort(axis=1)
+        lo, hi = values[:, low], values[:, k]
+    else:
+        # numpy selects one kth with a vectorised quickselect but several
+        # with a scalar introselect, which costs more than a max-reduce call
+        values.partition(k, axis=1)
+        hi = values[:, k]
+        lo = hi if low == k else np.maximum.reduce(values[:, :k], axis=1)
+    hi = half * hi
+    lo = hi if low == k else half * lo
     with np.errstate(over="ignore"):
         out[:] = hi if low == k else 0.5 * (lo + hi)
     over = np.isinf(out)
@@ -670,6 +733,53 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
         out[over] = 0.5 * lo[over] + 0.5 * hi[over]
         infinite = np.flatnonzero(np.isinf(out))
     return np.flatnonzero((lo == 0) & (hi == 0)), infinite
+
+
+@lru_cache(maxsize=None)
+def _network(m: int, wires: tuple[int, ...]) -> tuple[tuple[int, int, bool, bool], ...]:
+    """Batcher's odd-even merge sort of m wires (Batcher 1968; Knuth, TAOCP
+    Vol. 3, 5.3.4), pruned to the comparators that reach ``wires``: each as
+    (a, b, lo, hi), a < b, where ``lo`` tells whether the min left on wire
+    a is read later and ``hi`` whether the max left on wire b is.  It is
+    the network of the next power of two without the wires from m on, which
+    padding with +inf would never move; ``wires = tuple(range(m))`` keeps
+    all of it."""
+    comparators = []
+    p = 1
+    while p < m:
+        d = p
+        while d:
+            for j in range(d % p, m - d, 2 * d):
+                for i in range(j, min(j + d, m - d)):
+                    if i // (2 * p) == (i + d) // (2 * p):
+                        comparators.append((i, i + d))
+            d //= 2
+        p *= 2
+    read = set(wires)
+    kept = []
+    for a, b in reversed(comparators):
+        if a in read or b in read:
+            kept.append((a, b, a in read, b in read))
+            read |= {a, b}
+    return tuple(reversed(kept))
+
+
+def _run_network(network, columns: list, spare: np.ndarray) -> None:
+    """Apply ``network`` to all rows at once: ``columns[w]`` holds wire w
+    of every row, and afterwards ``columns`` lists the arrays that hold the
+    wires.  A comparator writes its min into ``spare``, an array of the
+    same length, and the min's old array becomes the spare, so no column is
+    copied; one of its outputs that is never read is not formed."""
+    for a, b, lo, hi in network:
+        x, y = columns[a], columns[b]
+        if lo and hi:
+            np.minimum(x, y, out=spare)
+            np.maximum(x, y, out=y)
+            columns[a], spare = spare, x
+        elif lo:
+            np.minimum(x, y, out=x)
+        else:
+            np.maximum(x, y, out=y)
 
 
 def _row_estimates(estimator: Estimator, rows: np.ndarray, consistent: bool = True):
@@ -681,11 +791,18 @@ def _row_estimates(estimator: Estimator, rows: np.ndarray, consistent: bool = Tr
     row whose sum or variance passes the largest double is summed exactly."""
     kind = estimator._kind
     if kind is not None:
+        c = estimator._consistency if consistent else 1.0
         if rows.ndim == 1:
-            raw = _row_medians(rows[None, :], kind).item()
-        else:
-            raw = _row_medians(rows, kind)
-        return raw * estimator._consistency if consistent else raw
+            # a Python float rounds past the largest double without a warning
+            return _row_medians(rows[None, :], kind).item() * c
+        raw = _row_medians(rows, kind)
+        if c == 1.0:
+            return raw
+        if float(raw.max(initial=0.0)) * c < math.inf:
+            return raw * c
+        # a scale times c past the largest double rounds to an infinity
+        with np.errstate(over="ignore"):
+            return raw * c
     if rows.ndim == 1:
         return _fsum_mean(rows, rows.size) if estimator.is_location else _sample_sd(rows)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from robustfinite import estimators as est
+from robustfinite import estimators as est, spc
 from robustfinite.estimators import _BUFFER_PAIRS, _row_medians
 
 KINDS = ("median", "mad", "shamos", "hl1", "hl2", "hl3")
@@ -73,10 +73,46 @@ def samples(rng, n):
     yield rng.permutation(np.repeat([1.0, 2.0], [n // 2, n - n // 2]))
 
 
+def values_per_row(kind, n):
+    """m, the number of values a block row of n observations selects in."""
+    return n if kind in ("median", "mad") else est._pair_plan(n, kind).size
+
+
+def boundary_sizes(kind):
+    """Sample sizes whose m sits on either side of each limit that picks a
+    block's selection (sorting network, row sort, partition): m equal to
+    the limit and to the limit + 1 where some n gives them, as for the
+    median and the MAD, else the nearest m on each side."""
+    sizes = set()
+    for limit in (est._NETWORK_ROW, est._SORT_ROW):
+        ns = range(MIN_N[kind], limit + 2 if kind in ("median", "mad") else 60)
+        m = {n: values_per_row(kind, n) for n in ns}
+        sizes.add(max((n for n in ns if m[n] <= limit), key=m.get))
+        sizes.add(min((n for n in ns if m[n] > limit), key=m.get))
+    return sorted(sizes)
+
+
+@pytest.fixture
+def networks(monkeypatch):
+    """The row count of each block ``_run_network`` has selected in."""
+    calls = []
+
+    def spy(network, columns, spare):
+        calls.append(len(spare))
+        return run_network(network, columns, spare)
+
+    run_network = est._run_network
+    monkeypatch.setattr(est, "_run_network", spy)
+    return calls
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_small_n_matches_brute_force(kind):
+def test_small_n_matches_brute_force(kind, networks):
+    """Short blocks, and the same rows repeated into blocks of one row less
+    than the sorting network asks for and of just enough rows, at every n
+    to 40 and at the sizes on either side of each strategy limit."""
     rng = np.random.default_rng(2024)
-    for n in range(MIN_N[kind], 41):
+    for n in [*range(MIN_N[kind], 41), *(n for n in boundary_sizes(kind) if n > 40)]:
         xs = list(samples(rng, n))
         if n == 2:  # every ordered pair of signed zeros and ones
             xs += [np.array([a, b]) for a in (-1.0, -0.0, 0.0, 1.0)
@@ -86,21 +122,32 @@ def test_small_n_matches_brute_force(kind):
             assert _row_medians(x[None, :], kind)[0].hex() == want, (kind, list(x))
             assert SCALAR[kind](x).hex() == want, (kind, list(x))
         assert [v.hex() for v in _row_medians(np.array(xs), kind)] == wants, (kind, n)
+        copies = -(-est._NETWORK_BLOCK // len(xs))
+        for rows in (est._NETWORK_BLOCK - 1, est._NETWORK_BLOCK):
+            networks.clear()
+            got = _row_medians(np.array(xs * copies)[:rows], kind)
+            assert [v.hex() for v in got] == (wants * copies)[:rows], (kind, n, rows)
+            network = rows >= est._NETWORK_BLOCK and values_per_row(kind, n) <= est._NETWORK_ROW
+            assert networks == ([rows] * (2 if kind == "mad" else 1) if network else []), (kind, n)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_across_chunks_matches_brute_force(kind):
+    """n = 60 in three chunks, the last one partial; and, at the largest n
+    whose rows a sorting network takes, one column-major chunk followed by
+    a partial one of 7 rows or of a single row."""
     rng = np.random.default_rng(7)
-    n = 60
-    pairs = n if kind in ("median", "mad") else est._pair_plan(n, kind).size
-    step = _BUFFER_PAIRS // pairs
-    rows = 2 * step + 7  # three chunks, the last one partial
-    block = rng.normal(size=(rows, n))
-    block[::5] = np.round(block[::5])  # ties in every fifth row
-    got = _row_medians(block, kind)
-    assert got.shape == (rows,)
-    for row, value in zip(block, got):
-        assert value.hex() == reference_median(row, kind).hex()
+    small = max(n for n in boundary_sizes(kind)
+                if values_per_row(kind, n) <= est._NETWORK_ROW)
+    for n, chunks, last in ((60, 2, 7), (small, 1, 7), (small, 1, 1)):
+        step = _BUFFER_PAIRS // values_per_row(kind, n)
+        rows = chunks * step + last
+        block = rng.normal(size=(rows, n))
+        block[::5] = np.round(block[::5])  # ties in every fifth row
+        got = _row_medians(block, kind)
+        assert got.shape == (rows,)
+        for row, value in zip(block, got):
+            assert value.hex() == reference_median(row, kind).hex(), (kind, n, rows)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -122,12 +169,18 @@ def test_row_larger_than_buffer_matches_brute_force(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_permutation_invariance(kind):
     rng = np.random.default_rng(5)
-    # the last sample's median is the -0.0 at ranks 11 and 12
+    # the third sample's median is the -0.0 at ranks 11 and 12, the fourth's
+    # the -0.0 at rank 4; the others sit on either side of each strategy
+    # limit, in blocks long enough for the sorting network
     for x in (rng.normal(size=23), rng.choice([-0.0, 0.0, 1.0, -1.0], size=24),
-              np.array([-1.0] * 5 + [-0.0] * 8 + [0.0] * 4 + [1.0] * 7)):
-        block = np.array([rng.permutation(x) for _ in range(30)])
+              np.array([-1.0] * 5 + [-0.0] * 8 + [0.0] * 4 + [1.0] * 7),
+              np.array([-1.0, -1.0, -0.0, -0.0, -0.0, 0.0, 0.0, 1.0, 1.0]),
+              *(rng.choice([-0.0, 0.0, 1.0, -1.0], size=n) for n in boundary_sizes(kind))):
+        if x.size < MIN_N[kind]:
+            continue
+        block = np.array([rng.permutation(x) for _ in range(est._NETWORK_BLOCK)])
         got = _row_medians(block, kind)
-        assert {v.hex() for v in got} == {reference_median(x, kind).hex()}
+        assert {v.hex() for v in got} == {reference_median(x, kind).hex()}, (kind, x.size)
 
 
 def test_shamos_of_signed_zeros_is_positive_zero():
@@ -164,6 +217,41 @@ def test_finite_sample_has_finite_median():
             got = _row_medians(block, kind)
             assert np.isfinite(got).all(), kind
             assert [v.hex() for v in got] == [SCALAR[kind](x).hex() for x in block]
+
+
+def network_columns(block, wires):
+    """The rows of ``block`` after ``_network(m, wires)``, applied as the
+    kernel applies it: to the columns of a column-major copy."""
+    rows, m = block.shape
+    values = np.array(block.T).T
+    columns = list(values.T)
+    est._run_network(est._network(m, wires), columns, np.empty(rows))
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("m", range(1, est._NETWORK_ROW + 1))
+def test_network_selects_and_sorts(m):
+    """The full network sorts, and each pruned one leaves the sorted values
+    on the wires it keeps, on random, tied, signed-zero and infinite rows
+    and on every row of zeros and ones, which proves it for all inputs (the
+    0-1 principle; Knuth, TAOCP Vol. 3, 5.3.4).  Minimum and maximum may
+    swap -0.0 and +0.0, so zeros compare equal here; the kernel ranks a
+    zero median by counting signs."""
+    rng = np.random.default_rng(37)
+    shape = (200, m)
+    blocks = (rng.normal(size=shape), rng.integers(-1, 2, shape) * 1.0,
+              rng.choice([-0.0, 0.0, 1.0], shape), rng.choice([-np.inf, -1.0, -0.0, np.inf], shape),
+              ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1) * 1.0)
+    full = tuple(range(m))
+    if m in (2, 4, 8):  # Batcher's network of 2**p wires, unpruned
+        assert len(est._network(m, full)) == {2: 1, 4: 5, 8: 19}[m]
+    for block in blocks:
+        want = np.sort(block, axis=1)
+        assert np.array_equal(network_columns(block, full), want), m
+        for low in range(m):
+            for k in range(low, m):
+                got = network_columns(block, (low, k))
+                assert np.array_equal(got[:, [low, k]], want[:, [low, k]]), (m, low, k)
 
 
 PAIRWISE = ("shamos", "hl1", "hl2", "hl3")
@@ -372,19 +460,25 @@ def test_counting_in_many_rounds_matches_filled_block(kind, monkeypatch):
     assert fallbacks
 
 
-@pytest.mark.parametrize("kind", PAIRWISE)
+@pytest.mark.parametrize("kind", KINDS)
 def test_pair_overflow_does_not_warn(kind, counted):
-    # Pair values past the largest double round to infinities without a
-    # RuntimeWarning, in the scalar API and in filled blocks and counted
-    # rows alike, and the medians stay those of the rounded pairs.
+    # Pair values and deviations past the largest double round to
+    # infinities without a RuntimeWarning, in the scalar API and in filled
+    # blocks, counted rows and sorting networks alike, and the medians stay
+    # those of the rounded values.  Blocks of up to 40 values per row are
+    # also repeated into one long enough for the sorting network.
     rng = np.random.default_rng(29)
+    pairwise = kind in PAIRWISE
+    sizes = [2, 5, 40, *([COUNTED_FROM[kind] + 1] if pairwise else []), *boundary_sizes(kind)]
     blocks = []
-    for n in (2, 5, 40, COUNTED_FROM[kind] + 1):
+    for n in sizes:
         block = rng.uniform(-1, 1, (2, n)) * 1.7e308
         block[1, : n // 2] = np.abs(block[1, : n // 2])
         with np.errstate(over="ignore"):
-            blocks.append((block, [sorted_reference(x, kind, halved=kind != "shamos").hex()
-                                   for x in block]))
+            blocks.append((block, [
+                (sorted_reference(x, kind, halved=kind != "shamos") if pairwise
+                 else reference_median(x, kind)).hex() for x in block]))
+    copies = est._NETWORK_BLOCK // 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if kind == "shamos":
@@ -394,4 +488,28 @@ def test_pair_overflow_does_not_warn(kind, counted):
             assert [v.hex() for v in _row_medians(block, kind)] == want, kind
             assert [_row_medians(x[None, :], kind)[0].hex() for x in block] == want, kind
             assert [SCALAR[kind](x).hex() for x in block] == want, kind
-    assert counted == [COUNTED_FROM[kind] + 1] * 4
+            if block.shape[1] <= 40:
+                got = _row_medians(np.tile(block, (copies, 1)), kind)
+                assert [v.hex() for v in got] == want * copies, (kind, block.shape)
+    assert counted == ([COUNTED_FROM[kind] + 1] * 4 if pairwise else [])
+
+
+def test_mad_and_consistent_scales_do_not_warn_near_largest_double():
+    """A MAD deviation, or a scale times its consistency constant, past the
+    largest double rounds to an infinity without a RuntimeWarning, and the
+    results keep their values."""
+    x = np.random.default_rng(0).uniform(-1, 1, 100) * 1.7e308
+    series = spc.SubgroupSeries(np.random.default_rng(0).uniform(-1, 1, (20, 5)) * 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert est.mad(x) == 1.3021667705181217e+308
+        mad = spc.chart_limits(series, "mad-c5")
+        shamos = spc.chart_limits(series, "shamos-c6")
+        # the same subgroups in a block tall enough for the sorting network
+        copies = est._NETWORK_BLOCK // 20 + 1
+        tall = est._row_estimates(est.Estimator.MAD, np.tile(series.data, (copies, 1)))
+        assert [v.hex() for v in tall] == [v.hex() for v in series.mads] * copies
+    assert [mad.center.hex(), mad.ucl.hex(), mad.lcl.hex(), mad.three_sigma] == [
+        "0x1.7619f6201b43bp+1020", "0x1.a285b37a12ff1p+1023", "-0x1.44ff35f20c2e3p+1023", math.inf]
+    assert [shamos.center.hex(), shamos.ucl, shamos.lcl, shamos.three_sigma] == [
+        "0x1.7619f6201b43bp+1020", math.inf, -math.inf, math.inf]
