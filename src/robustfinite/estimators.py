@@ -40,10 +40,11 @@ charts, keep the buffer, and ``_select_medians`` picks how a chunk's rows
 are selected by their length m: up to 9 values, in blocks of 1024 rows or
 more, a pruned odd-even merge network (Batcher 1968) runs over whole
 columns of a column-major buffer, one ``np.minimum``/``np.maximum`` pair
-per comparator for all rows at once; up to 256 values each row is sorted;
-longer rows are partitioned.  A pair value, a MAD deviation or a scale
-times its consistency constant past the largest double rounds to an
-infinity without a warning.
+per comparator for all rows at once; up to 256 values each row is sorted,
+except rows of up to 15 values with a single middle rank; other rows are
+partitioned.  A pair value, a MAD deviation or a scale times its
+consistency constant past the largest double rounds to an infinity without
+a warning.
 
 The mean and the standard deviation have two kernels: ``math.fsum`` for one
 sample in the scalar API, and numpy's row reductions for a block, which the
@@ -84,6 +85,10 @@ PAIR_LIMIT = 10_000
 # doubles, small enough to stay in cache while a chunk is built and selected.
 _BUFFER_PAIRS = 1 << 18
 
+# Pairs a block fills per numpy call: 256 KB, which filled a chunk faster
+# than 32, 128 or 512 KB or the whole 2 MB (crossover table in CHANGES.md).
+_FILL_PAIRS = 1 << 15
+
 # Up to this many values, one row is sorted; longer rows select the upper
 # middle value and take the lower one as the max of the left part.  A
 # pairwise row of a sorted sample is made of runs already sorted by i, and
@@ -94,12 +99,18 @@ _SHORT_PAIRS = 700
 
 # A block's rows of up to _NETWORK_ROW values go through a sorting network
 # applied to whole columns, once there are _NETWORK_BLOCK rows or more to
-# pay for its numpy call per comparator; rows of up to _SORT_ROW values are
-# sorted, and longer ones select as one long row does (crossover tables in
-# CHANGES.md).
+# pay for its numpy call per comparator: a whole median call through the
+# network took 0.98 (m = 2) and 1.37 (m = 5) times as long as the faster of
+# sort and partition at 64 rows, 0.72 and 1.01 at 256 and 0.40 and 0.56 at
+# 1024, and 1.22 (m = 9) at 512 rows and 0.93 at 1024 (median of 201
+# CPU-time calls).  Other rows of up to _SORT_ROW values are sorted, but a
+# row with one middle value, which partition selects without a max-reduce,
+# is partitioned up to _PARTITION_ODD values; longer rows select as one long
+# row does (crossover tables in CHANGES.md).
 _NETWORK_ROW = 9
 _NETWORK_BLOCK = 1024
 _SORT_ROW = 256
+_PARTITION_ODD = 15
 
 # _count_middle samples this many of the pairs left in a round, takes the
 # pivots this many sample ranks either side of the one expected at the
@@ -389,8 +400,13 @@ def _fill_pairs(rows: np.ndarray, plan: _PairPlan | None, index,
         row = rows[0]
         op(row[j], row[i], out=out[0])
     elif out.flags.c_contiguous:
-        np.take(rows, j, axis=1, out=out, mode="clip")
-        op(out, np.repeat(rows, counts, axis=1), out=out)
+        # a slice of rows at a time, so that the repeated rows, a temporary
+        # of the slice's size, stay in cache instead of doubling the buffer
+        step = _FILL_PAIRS // out.shape[1] or 1
+        for r in range(0, len(rows), step):
+            part = out[r:r + step]
+            np.take(rows[r:r + step], j, axis=1, out=part, mode="clip")
+            op(part, np.repeat(rows[r:r + step], counts, axis=1), out=part)
     else:
         # a column-major buffer, as a sorting network takes its rows: one
         # column at a time, where take would fill a copy of ``out``
@@ -609,7 +625,9 @@ def _row_medians(block: np.ndarray, kind: str,
     if count:
         buf = None
     elif rows >= _NETWORK_BLOCK and m <= _NETWORK_ROW:
-        # column-major, so that each column a network compares is contiguous
+        # column-major, which tells _fill_pairs and _select_medians that a
+        # sorting network selects in it, and makes each column it compares
+        # contiguous
         buf = np.empty((m, min(rows, step))).T
     else:
         buf = np.empty((min(rows, step), m))
@@ -688,15 +706,16 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
     whose median is infinite, as ``_midpoint`` does.
 
     A single row of at most ``short`` values is sorted, a longer one
-    selected in.  A block's rows are chosen by their length m: up to
-    ``_NETWORK_ROW`` values, in a block of ``_NETWORK_BLOCK`` rows or more,
-    they go through the pruned sorting network of ``_network``, one
-    ``np.minimum`` or ``np.maximum`` per comparator over a whole column
-    (fastest when ``values`` is column-major); otherwise up to
-    ``_SORT_ROW`` values each row is sorted; longer rows are partitioned at
-    the upper middle rank, the lower one being the max of the left part.
-    Overwrites ``values``, which afterwards need not hold the rows'
-    values, and uses ``out`` as scratch before writing it."""
+    selected in.  A block's rows, when ``values`` is column-major (as
+    ``_row_medians`` allocates it for blocks of ``_NETWORK_BLOCK`` rows or
+    more of up to ``_NETWORK_ROW`` values), go through the pruned sorting
+    network of ``_network``, one ``np.minimum`` or ``np.maximum`` per
+    comparator over a whole column.  Otherwise rows of up to ``_SORT_ROW``
+    values are sorted, except rows of up to ``_PARTITION_ODD`` values with
+    one middle rank, and the rest are partitioned at the upper middle rank,
+    the lower one being the max of the left part.  Overwrites ``values``,
+    which afterwards need not hold the rows' values, and uses ``out`` as
+    scratch before writing it."""
     rows, m = values.shape
     low, k = ranks
     if rows == 1:
@@ -710,11 +729,13 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
             values.partition(k, axis=1)
             lo = values.item(0, k) if low == k else values[0, :k].max().item()
         return _midpoint(lo, values.item(0, k), half, out)
-    if rows >= _NETWORK_BLOCK and m <= _NETWORK_ROW:
+    if not values.flags.c_contiguous:
+        # column-major; with one value per row a buffer is C-contiguous too,
+        # and such rows need no network
         columns = list(values.T)
         _run_network(_network(m, (low, k)), columns, out)
         lo, hi = columns[low], columns[k]
-    elif m <= _SORT_ROW:
+    elif m <= _SORT_ROW and (low != k or m > _PARTITION_ODD):
         values.sort(axis=1)
         lo, hi = values[:, low], values[:, k]
     else:

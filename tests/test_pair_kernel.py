@@ -80,11 +80,12 @@ def values_per_row(kind, n):
 
 def boundary_sizes(kind):
     """Sample sizes whose m sits on either side of each limit that picks a
-    block's selection (sorting network, row sort, partition): m equal to
-    the limit and to the limit + 1 where some n gives them, as for the
-    median and the MAD, else the nearest m on each side."""
+    block's selection (sorting network, partition of a row with one
+    middle rank, row sort, partition): m equal to the limit and to the
+    limit + 1 where some n gives them, as for the median and the MAD, else
+    the nearest m on each side."""
     sizes = set()
-    for limit in (est._NETWORK_ROW, est._SORT_ROW):
+    for limit in (est._NETWORK_ROW, est._PARTITION_ODD, est._SORT_ROW):
         ns = range(MIN_N[kind], limit + 2 if kind in ("median", "mad") else 60)
         m = {n: values_per_row(kind, n) for n in ns}
         sizes.add(max((n for n in ns if m[n] <= limit), key=m.get))
@@ -127,7 +128,9 @@ def test_small_n_matches_brute_force(kind, networks):
             networks.clear()
             got = _row_medians(np.array(xs * copies)[:rows], kind)
             assert [v.hex() for v in got] == (wants * copies)[:rows], (kind, n, rows)
-            network = rows >= est._NETWORK_BLOCK and values_per_row(kind, n) <= est._NETWORK_ROW
+            # a row of one value is selected without a network
+            network = (rows >= est._NETWORK_BLOCK
+                       and 1 < values_per_row(kind, n) <= est._NETWORK_ROW)
             assert networks == ([rows] * (2 if kind == "mad" else 1) if network else []), (kind, n)
 
 
