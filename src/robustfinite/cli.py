@@ -24,20 +24,17 @@ _ESTIMATORS = [e.value for e in Estimator]
 def _parse_n_list(text: str) -> list[int]:
     """Parse sample sizes: comma list and/or inclusive a:b ranges, a <= b."""
     out: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            lo, hi = token.split(":", 1)
-            sizes = range(int(lo), int(hi) + 1)
-            if not sizes:
-                raise ValueError(f"empty range {token!r} in --n {text!r}")
-            out.extend(sizes)
-        else:
-            out.append(int(token))
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        lo, colon, hi = token.partition(":")
+        try:
+            sizes = range(int(lo), int(hi if colon else lo) + 1)
+        except ValueError:
+            raise ValueError(f"bad size or range {token!r} in --n {text!r}") from None
+        if not sizes:
+            raise ValueError(f"empty range {token!r} in --n {text!r}")
+        out.extend(sizes)
     if not out:
-        raise ValueError(f"no sample sizes in {text!r}")
+        raise ValueError(f"no sample sizes in --n {text!r}")
     return out
 
 
@@ -161,9 +158,14 @@ def _cmd_fit(args) -> None:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    values = []
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValueError(f"bad number {token!r} in --delta {text!r}") from None
     if not values:
-        raise ValueError(f"no values in {text!r}")
+        raise ValueError(f"no values in --delta {text!r}")
     return values
 
 

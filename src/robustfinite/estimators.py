@@ -36,15 +36,15 @@ the scalar API from n of about 270 (hl3, shamos) or 380 (hl1, hl2) on, or
 too long to share the buffer: ``_count_middle`` selects its two middle
 values by counting in its sorted pair matrix, in O(n log n) time and O(n)
 memory.  Blocks of shorter rows, as in the simulator and the control
-charts, keep the buffer, and ``_select_medians`` picks how a chunk's rows
-are selected by their length m: up to 9 values, in blocks of 1024 rows or
-more, a pruned odd-even merge network (Batcher 1968) runs over whole
-columns of a column-major buffer, one ``np.minimum``/``np.maximum`` pair
-per comparator for all rows at once; up to 256 values each row is sorted,
-except rows of up to 15 values with a single middle rank; other rows are
-partitioned.  A pair value, a MAD deviation or a scale times its
-consistency constant past the largest double rounds to an infinity without
-a warning.
+charts, keep the buffer.  ``_select_medians`` picks how a chunk's rows are
+selected by the row count and the row length m only: a single row is
+sorted up to 700 values and partitioned beyond; in blocks of 1024 rows or
+more, rows of up to 9 values go through a pruned odd-even merge network
+(Batcher 1968) over whole columns of a column-major buffer, one
+``np.minimum``/``np.maximum`` pair per comparator for all rows at once;
+other block rows are sorted up to 256 values and partitioned beyond.  A
+pair value, a MAD deviation or a scale times its consistency constant past
+the largest double rounds to an infinity without a warning.
 
 The mean and the standard deviation have two kernels: ``math.fsum`` for one
 sample in the scalar API, and numpy's row reductions for a block, which the
@@ -89,28 +89,24 @@ _BUFFER_PAIRS = 1 << 18
 # than 32, 128 or 512 KB or the whole 2 MB (crossover table in CHANGES.md).
 _FILL_PAIRS = 1 << 15
 
-# Up to this many values, one row is sorted; longer rows select the upper
-# middle value and take the lower one as the max of the left part.  A
-# pairwise row of a sorted sample is made of runs already sorted by i, and
-# sorting it stays cheaper than selecting up to about 700 values (measured
-# on _fill_pairs output of hl1, hl2, hl3 and shamos at n = 14..78).
-_SHORT_ROW = 128
-_SHORT_PAIRS = 700
-
-# A block's rows of up to _NETWORK_ROW values go through a sorting network
-# applied to whole columns, once there are _NETWORK_BLOCK rows or more to
-# pay for its numpy call per comparator: a whole median call through the
-# network took 0.98 (m = 2) and 1.37 (m = 5) times as long as the faster of
-# sort and partition at 64 rows, 0.72 and 1.01 at 256 and 0.40 and 0.56 at
-# 1024, and 1.22 (m = 9) at 512 rows and 0.93 at 1024 (median of 201
-# CPU-time calls).  Other rows of up to _SORT_ROW values are sorted, but a
-# row with one middle value, which partition selects without a max-reduce,
-# is partitioned up to _PARTITION_ODD values; longer rows select as one long
-# row does (crossover tables in CHANGES.md).
+# How _select_medians selects a chunk's rows of m values, by the row count
+# and m only, whatever the kind or the parity of m (CPU time of whole calls;
+# crossover tables in CHANGES.md):
+# - a single row is sorted up to _SORT_SINGLE_ROW values, raw or pairs, and
+#   partitioned beyond: a sort was as fast on odd m and faster on even m up
+#   to about 1000 raw values and 740 pairs, a partition faster from 1100 on;
+# - a block's rows of up to _NETWORK_ROW values go through a sorting network
+#   over whole columns once _NETWORK_BLOCK rows or more pay for its numpy
+#   call per comparator: a median call through it took 0.40 (m = 2), 0.56
+#   (m = 5) and 0.93 (m = 9) times as long as the faster of sort and
+#   partition at 1024 rows, but 0.98-1.37 at 64 rows and 1.22 (m = 9) at 512;
+# - other block rows are sorted up to _SORT_ROW values and partitioned
+#   beyond: a sort took 0.80-1.10 times as long at m = 11-15, 0.66 at
+#   256, 1.03 at 320 and 1.20-1.34 at 539-1098 (hl1, shamos, n = 50).
+_SORT_SINGLE_ROW = 700
 _NETWORK_ROW = 9
 _NETWORK_BLOCK = 1024
 _SORT_ROW = 256
-_PARTITION_ODD = 15
 
 # _count_middle samples this many of the pairs left in a round, takes the
 # pivots this many sample ranks either side of the one expected at the
@@ -612,11 +608,9 @@ def _row_medians(block: np.ndarray, kind: str,
     if kind not in _PAIR_KINDS:
         plan, index, count = None, None, False
         m, ranks, middle = n, ((n - 1) // 2, n // 2), n // 2
-        short = _SHORT_ROW
     else:
         plan = _pair_plan(n, kind)
         m, ranks, middle = plan.size, plan.ranks, plan.middle
-        short = _SHORT_PAIRS
         index = plan.index
         count = index is None and (rows == 1 or m > _BUFFER_PAIRS)
         if index is None and not count:
@@ -646,7 +640,7 @@ def _row_medians(block: np.ndarray, kind: str,
                 # None is -0.0 after abs, so the sign of a zero median does
                 # not matter.  Only a median of _SAFE_CENTRE or more lets
                 # one pass the largest double; it then rounds to an infinity.
-                _select_medians(pairs, ranks, 1.0, short, medians)
+                _select_medians(pairs, ranks, 1.0, medians)
                 if len(chunk) == 1:
                     centre = medians.item(0)
                     far = abs(centre)
@@ -659,7 +653,7 @@ def _row_medians(block: np.ndarray, kind: str,
                     with np.errstate(over="ignore"):
                         np.subtract(chunk, centre, out=pairs)
                 np.abs(pairs, out=pairs)
-            zeros, infinite = _select_medians(pairs, ranks, half, short, medians)
+            zeros, infinite = _select_medians(pairs, ranks, half, medians)
         if hl:
             # a middle pair sum passed the largest double, though its half
             # does not: select again among the sums of halved values
@@ -669,7 +663,7 @@ def _row_medians(block: np.ndarray, kind: str,
                     _midpoint(*_count_middle(again, plan), 1.0, medians[r:r + 1])
                 else:
                     _fill_pairs(again[None, :], plan, index, pairs[r:r + 1])
-                    _select_medians(pairs[r:r + 1], ranks, 1.0, short, medians[r:r + 1])
+                    _select_medians(pairs[r:r + 1], ranks, 1.0, medians[r:r + 1])
         if kind == "median" or hl:
             # Sorting and partitioning treat -0.0 and +0.0 as equal and may
             # write either for the other, so a median of zeros is ranked by
@@ -699,30 +693,29 @@ def _midpoint(lo: float, hi: float, half: float, out: np.ndarray):
 
 
 def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
-                    short: int, out: np.ndarray):
+                    out: np.ndarray):
     """Write each row's median into ``out``: the value at the two equal
     ``ranks``, or the midpoint of the values at the two ranks, each scaled
     by ``half``; return the rows whose middle values are zeros and the rows
     whose median is infinite, as ``_midpoint`` does.
 
-    A single row of at most ``short`` values is sorted, a longer one
-    selected in.  A block's rows, when ``values`` is column-major (as
+    The method depends on the row count and the row length m only.  A
+    single row is sorted up to ``_SORT_SINGLE_ROW`` values and partitioned
+    beyond.  A block's rows, when ``values`` is column-major (as
     ``_row_medians`` allocates it for blocks of ``_NETWORK_BLOCK`` rows or
     more of up to ``_NETWORK_ROW`` values), go through the pruned sorting
     network of ``_network``, one ``np.minimum`` or ``np.maximum`` per
-    comparator over a whole column.  Otherwise rows of up to ``_SORT_ROW``
-    values are sorted, except rows of up to ``_PARTITION_ODD`` values with
-    one middle rank, and the rest are partitioned at the upper middle rank,
-    the lower one being the max of the left part.  Overwrites ``values``,
-    which afterwards need not hold the rows' values, and uses ``out`` as
-    scratch before writing it."""
+    comparator over a whole column; other block rows are sorted up to
+    ``_SORT_ROW`` values and partitioned beyond.  A partition places the
+    upper middle rank, the lower one being the max of the left part.
+    Overwrites ``values``, which afterwards need not hold the rows' values,
+    and uses ``out`` as scratch before writing it."""
     rows, m = values.shape
     low, k = ranks
     if rows == 1:
         # one row, as from the scalar API: Python floats cost less than
-        # 1-element arrays, and numpy sorts a short row faster than it
-        # selects in it
-        if m <= short:
+        # 1-element arrays
+        if m <= _SORT_SINGLE_ROW:
             values.sort()
             lo = values.item(0, low)
         else:
@@ -735,7 +728,7 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
         columns = list(values.T)
         _run_network(_network(m, (low, k)), columns, out)
         lo, hi = columns[low], columns[k]
-    elif m <= _SORT_ROW and (low != k or m > _PARTITION_ODD):
+    elif m <= _SORT_ROW:
         values.sort(axis=1)
         lo, hi = values[:, low], values[:, k]
     else:

@@ -147,6 +147,8 @@ _BIAS_MODELS = {
 
 def _bias(estimator: Estimator, n: int, model: str) -> float:
     n = _check_int("n", n, 2)
+    if model not in ("hayes", "williams"):
+        raise ValueError(f"bias model must be 'hayes' or 'williams', got {model!r}")
     if n <= TABLE_N_MAX:
         return load_table("bias_table")[n][f"{estimator.value}_bias"]
     return _BIAS_MODELS[(estimator.value, model)].evaluate(n)

@@ -171,6 +171,13 @@ class TestSimulateAndFit:
         assert (code, out) == (1, "")
         assert err == "error: empty range '10:2' in --n '3,10:2'\n"
 
+    @pytest.mark.parametrize("sizes, token", [("2:x", "2:x"), ("5,a", "a"), ("3:", "3:")])
+    def test_bad_n_token_is_named(self, capsys, sizes, token):
+        code, out, err = run_cli(capsys, "simulate", "--estimator", "mad",
+                                 "--n", sizes, "--reps", "200", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: bad size or range {token!r} in --n {sizes!r}\n"
+
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--estimator", "mad", "--n", "2", "--reps", "500"])
@@ -278,6 +285,12 @@ class TestSpcDemo:
                                  "--seed", "7")
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {name} ") and err.endswith(f"got {got}\n")
+
+    def test_bad_delta_token_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "spc-demo", "--delta", "0, abc", "--reps", "300",
+                                 "--seed", "7")
+        assert (code, out) == (1, "")
+        assert err == "error: bad number 'abc' in --delta '0, abc'\n"
 
 
 def test_unknown_subcommand_usage_error():

@@ -163,6 +163,14 @@ class TestFactorSet:
         with pytest.raises(ValueError):
             factor_set(1)
 
+    @pytest.mark.parametrize("n", [50, 150])
+    @pytest.mark.parametrize("fn", [mad_bias, shamos_bias, c5, c6, factor_set])
+    def test_unknown_bias_model_is_named(self, fn, n):
+        # inside the tables too, where the model would not be used
+        with pytest.raises(ValueError, match="bias model must be 'hayes' or "
+                                             "'williams', got 'Hayes'"):
+            fn(n, "Hayes")
+
     def test_model_range_keeps_factor_bounds(self):
         for n in (101, 150, 500, 2000, 100_000):
             fs = factor_set(n)

@@ -80,12 +80,12 @@ def values_per_row(kind, n):
 
 def boundary_sizes(kind):
     """Sample sizes whose m sits on either side of each limit that picks a
-    block's selection (sorting network, partition of a row with one
-    middle rank, row sort, partition): m equal to the limit and to the
-    limit + 1 where some n gives them, as for the median and the MAD, else
-    the nearest m on each side."""
+    row's selection (sorting network, then row sort or partition of a block
+    row and of a single row): m equal to the limit and to the limit + 1
+    where some n gives them, as for the median and the MAD, else the
+    nearest m on each side."""
     sizes = set()
-    for limit in (est._NETWORK_ROW, est._PARTITION_ODD, est._SORT_ROW):
+    for limit in (est._NETWORK_ROW, est._SORT_ROW, est._SORT_SINGLE_ROW):
         ns = range(MIN_N[kind], limit + 2 if kind in ("median", "mad") else 60)
         m = {n: values_per_row(kind, n) for n in ns}
         sizes.add(max((n for n in ns if m[n] <= limit), key=m.get))
@@ -109,9 +109,10 @@ def networks(monkeypatch):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_small_n_matches_brute_force(kind, networks):
-    """Short blocks, and the same rows repeated into blocks of one row less
-    than the sorting network asks for and of just enough rows, at every n
-    to 40 and at the sizes on either side of each strategy limit."""
+    """Single rows, the scalar API and short blocks, and the same rows
+    repeated into blocks of one row less than the sorting network asks for
+    and of just enough rows, at every n to 40 and at the sizes on either
+    side of each strategy limit."""
     rng = np.random.default_rng(2024)
     for n in [*range(MIN_N[kind], 41), *(n for n in boundary_sizes(kind) if n > 40)]:
         xs = list(samples(rng, n))
