@@ -36,10 +36,21 @@ the scalar API from n of about 270 (hl3, shamos) or 380 (hl1, hl2) on, or
 too long to share the buffer: ``_count_middle`` selects its two middle
 values by counting in its sorted pair matrix, in O(n log n) time and O(n)
 memory.  Blocks of shorter rows, as in the simulator and the control
-charts, keep the buffer.  ``_select_medians`` picks how a chunk's rows are
-selected by the row count and the row length m only: a single row is
-sorted up to 700 values and partitioned beyond; in blocks of 1024 rows or
-more, rows of up to 9 values go through a pruned odd-even merge network
+charts, keep the buffer.  A block of 2048 rows or more whose plan keeps
+1200 pairs or more per row, as in the simulator from n = 53 (hl3, shamos),
+73 (hl2) or 74 (hl1) on, selects its first chunk from the plan's pairs and
+then learns a band (``_Band``): for each i, the pairs (i, j) that the rows
+so far needed, widened a little, at the middle ranks less the pairs below
+it.  Later chunks form and select only the band, about half of the plan's
+pairs at n = 100 and a third at n = 200, and check each row exactly: its
+largest pair below the band must not exceed its lower middle value, nor its
+smallest pair above the band fall short of its upper one, so that the
+band's middle values are the plan's (Floyd and Rivest 1975 select among the
+values a sample predicts, then check).  A row that fails is selected again
+from the plan and widens the band.  ``_select_middles`` picks how a chunk's
+rows are selected by the row count and the row length m only: a single row
+is sorted up to 700 values and partitioned beyond; in blocks of 1024 rows
+or more, rows of up to 9 values go through a pruned odd-even merge network
 (Batcher 1968) over whole columns of a column-major buffer, one
 ``np.minimum``/``np.maximum`` pair per comparator for all rows at once;
 other block rows are sorted up to 256 values and partitioned beyond.  A
@@ -89,7 +100,7 @@ _BUFFER_PAIRS = 1 << 18
 # than 32, 128 or 512 KB or the whole 2 MB (crossover table in CHANGES.md).
 _FILL_PAIRS = 1 << 15
 
-# How _select_medians selects a chunk's rows of m values, by the row count
+# How _select_middles selects a chunk's rows of m values, by the row count
 # and m only, whatever the kind or the parity of m (CPU time of whole calls;
 # crossover tables in CHANGES.md):
 # - a single row is sorted up to _SORT_SINGLE_ROW values, raw or pairs, and
@@ -107,6 +118,20 @@ _SORT_SINGLE_ROW = 700
 _NETWORK_ROW = 9
 _NETWORK_BLOCK = 1024
 _SORT_ROW = 256
+
+# A block of at least _BAND_ROWS rows whose plan keeps at least _BAND_PAIRS
+# pairs per row selects, after its first chunk, in a band of each i's pairs
+# learned from the rows before, widened by _BAND_MARGIN pairs on each side
+# (see _Band).  Through the band a normal block of 4096 rows took 0.90-1.01
+# times as long at plans of 1075-1115 pairs (n = 50 for shamos and hl3, 70
+# for hl1 and hl2), 0.85-0.95 at 1209-1600 and 0.80-0.82 at 1815-1849;
+# blocks of 2048 rows took 0.92-1.00 at 1380-1424 pairs and 0.71-0.94 from
+# 2246 (n = 100) on, blocks of 1024 rows 1.02-1.12 at 1380-1424 pairs.
+# Margins of 1 and 2 pairs tied, 0 and 3 were slower (CPU time; tables in
+# CHANGES.md).
+_BAND_ROWS = 2048
+_BAND_PAIRS = 1200
+_BAND_MARGIN = 2
 
 # _count_middle samples this many of the pairs left in a round, takes the
 # pivots this many sample ranks either side of the one expected at the
@@ -494,8 +519,7 @@ def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
     n = s.size
     i = np.arange(n)
     first = 1 if kind in ("shamos", "hl1") else 0
-    starts = plan.starts.copy()
-    starts[plan.diagonal.start:plan.diagonal.stop] = i[plan.diagonal.start:plan.diagonal.stop]
+    starts, _ = _windows(plan)
     stops = plan.stops
     low, k = plan.ranks
     twins = kind == "hl3"
@@ -557,6 +581,132 @@ def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
     return values[values < upper].max().item(), upper
 
 
+def _windows(plan: _PairPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Each i's window of the pairs (i, j) a plan keeps, whose values grow
+    with j: its first j, i itself where the plan forms the diagonal pair,
+    and its width."""
+    i = np.arange(plan.starts.size)
+    starts = plan.starts.copy()
+    d = slice(plan.diagonal.start, plan.diagonal.stop)
+    starts[d] = i[d]
+    return starts, plan.stops - starts
+
+
+def _window_counts(rows: np.ndarray, kind: str, windows, bound: np.ndarray,
+                   strict: bool) -> np.ndarray:
+    """How many pairs of each i's window lie below ``bound[r]`` (at most it
+    unless ``strict``) in each sorted row r of ``rows``, as (rows, n).  Each
+    row's ``u = bound - S[i]`` (``bound + S[i]`` for shamos) is merged with
+    the row by one stable sort, which places an equal ``S[j]`` after u when
+    ``strict``; u falls with i (rises, for shamos), so its k-th value in the
+    merged order is that of i = n - 1 - k (k), or one equal to it.  u is
+    rounded, so a count may be off where rounding decides; only a band
+    uses the counts, and its check is exact."""
+    starts, widths = windows
+    r, n = rows.shape
+    u = bound[:, None] + rows if kind == "shamos" else bound[:, None] - rows
+    order = np.argsort(np.concatenate((u, rows) if strict else (rows, u), axis=1),
+                       axis=1, kind="stable")
+    # the row's values before each u, in the merged order
+    at = np.flatnonzero(order < n if strict else order >= n).reshape(r, n) % (2 * n) - np.arange(n)
+    return np.clip((at if kind == "shamos" else at[:, ::-1]) - starts, 0, widths)
+
+
+class _Band(NamedTuple):
+    """The pairs at places ``low[i] <= p < high[i]`` of each i's window of a
+    plan (``_windows``), which a large block's later chunks select in: the
+    plan of those pairs, whose middle ranks are the plan's less the values
+    below the band, and the pairs (i, j) just below and just above it.
+
+    ``_learn_band`` makes it from the first chunk's rows, selected with the
+    plan: each i's band runs from the fewest pairs any of them had below
+    its lower middle value to the most it had up to its upper one, widened
+    by ``_BAND_MARGIN`` on each side, and it is refused unless both middle
+    ranks fall inside it.  ``_band_misses`` then checks each row selected
+    in it, exactly: the largest pair below the band must be at most the
+    lower middle value selected, and the smallest one above it at least the
+    upper one.  Then the values selected are the plan's middle values, as
+    in Floyd and Rivest's (1975) selection, which also picks its values
+    from a guess and checks it.  A row that fails is selected again with
+    the plan, and the band widens to take its pairs for later chunks."""
+
+    plan: _PairPlan
+    low: np.ndarray
+    high: np.ndarray
+    below: tuple[np.ndarray, np.ndarray]
+    above: tuple[np.ndarray, np.ndarray]
+
+
+def _band(plan: _PairPlan, low: np.ndarray, high: np.ndarray) -> _Band | None:
+    """The band of ``plan``'s windows between ``low`` and ``high``, or None
+    when a middle rank would fall outside it.  On hl2 and hl3 it forms the
+    diagonal pairs (i, i) of one range, so every i from the first to the
+    last whose band takes its diagonal pair has its band start there."""
+    wstarts, widths = _windows(plan)
+    n = wstarts.size
+    i = np.arange(n)
+    low, high = low.copy(), high.copy()
+    diagonal = range(0)
+    d = plan.diagonal
+    takes = np.flatnonzero((low[d.start:d.stop] == 0) & (high[d.start:d.stop] > 0)) + d.start
+    if takes.size:
+        diagonal = range(takes[0], takes[-1] + 1)
+        low[diagonal.start:diagonal.stop] = 0
+        np.maximum(high[diagonal.start:diagonal.stop], 1, out=high[diagonal.start:diagonal.stop])
+    below = low
+    if plan.kind == "hl3":
+        below = 2 * low - ((wstarts == i) & (low > 0))
+    shift = int(below.sum())
+    starts = np.maximum(wstarts + low, i + 1)
+    stops = np.maximum(wstarts + high, starts)
+    size = int((stops - starts).sum()) * (2 if plan.kind == "hl3" else 1) + len(diagonal)
+    ranks = (plan.ranks[0] - shift, plan.ranks[1] - shift)
+    if ranks[0] < 0 or ranks[1] >= size:
+        return None
+    band = _PairPlan(plan.kind, size, ranks, plan.middle, starts, stops, diagonal, None)
+    under, over = np.flatnonzero(low > 0), np.flatnonzero(high < widths)
+    return _Band(band._replace(index=_pair_index(band)), low, high,
+                 (under, wstarts[under] + low[under] - 1), (over, wstarts[over] + high[over]))
+
+
+def _learn_band(band: _Band | None, plan: _PairPlan, rows: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray) -> _Band | None:
+    """``band`` widened, or a first band, to take the pairs that each
+    sorted row of ``rows`` has from below its lower middle value ``lo`` to
+    its upper one ``hi``, and ``_BAND_MARGIN`` more on each side; ``band``
+    itself when that changes nothing."""
+    windows = _windows(plan)
+    low = _window_counts(rows, plan.kind, windows, lo, True).min(axis=0) - _BAND_MARGIN
+    high = _window_counts(rows, plan.kind, windows, hi, False).max(axis=0) + _BAND_MARGIN
+    np.clip(low, 0, None, out=low)
+    np.minimum(high, windows[1], out=high)
+    if band is not None:
+        if (low >= band.low).all() and (high <= band.high).all():
+            return band
+        np.minimum(low, band.low, out=low)
+        np.maximum(high, band.high, out=high)
+    return _band(plan, low, high) or band
+
+
+def _band_misses(rows: np.ndarray, kind: str, band: _Band, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
+    """The sorted rows of ``rows`` whose band middle values ``lo`` and
+    ``hi`` need not be their plan's: a pair below the band exceeds ``lo``,
+    or one above it is less than ``hi``.  Otherwise no pair outside the band
+    lies strictly between them, and the band's ranks are those of the
+    plan's middle values less the values below the band, so they are the
+    plan's middle values.  Pair values grow with j, so the pairs just below
+    and just above the band of each i decide, two gathers of at most n."""
+    op = np.subtract if kind == "shamos" else np.add
+    miss = np.zeros(len(rows), dtype=bool)
+    (i, j), (ia, ja) = band.below, band.above
+    if i.size:
+        miss |= np.maximum.reduce(op(rows[:, j], rows[:, i]), axis=1) > lo
+    if ia.size:
+        miss |= np.minimum.reduce(op(rows[:, ja], rows[:, ia]), axis=1) < hi
+    return np.flatnonzero(miss)
+
+
 def _negatives(row: np.ndarray, kind: str) -> int:
     """How many of the values whose median ``kind`` takes are negative or
     -0.0: the observations for "median", the pair sums for the
@@ -584,7 +734,11 @@ def _row_medians(block: np.ndarray, kind: str,
     in chunks whose values fill one reused buffer, selected in place; the
     pairwise kinds form only the pairs ``_pair_plan`` keeps, and a row whose
     plan caches no index is counted in by ``_count_middle`` instead when it
-    is the only row or too long to share the buffer.  Where the sorted rows'
+    is the only row or too long to share the buffer.  A block of at least
+    ``_BAND_ROWS`` rows whose plan keeps at least ``_BAND_PAIRS`` pairs
+    selects after its first chunk in a ``_Band``; the rows whose middle sums
+    overflow and the middle zeros are selected and ranked with the plan, as
+    in any block.  Where the sorted rows'
     extremes reach ``_SAFE_PAIRS``, a pair value past the largest double is
     rounded to an infinity without a warning.  ``raw`` holds the unsorted
     rows when ``block`` is given already sorted.
@@ -616,22 +770,30 @@ def _row_medians(block: np.ndarray, kind: str,
         if index is None and not count:
             index = _pair_index(plan)
     step = 1 if count else _BUFFER_PAIRS // m or 1
+    # a block this large spans many chunks: it selects its first one with
+    # the plan and the later ones in a band (see _Band)
+    learn = plan is not None and not count and rows >= _BAND_ROWS and m >= _BAND_PAIRS
     if count:
         buf = None
     elif rows >= _NETWORK_BLOCK and m <= _NETWORK_ROW:
-        # column-major, which tells _fill_pairs and _select_medians that a
+        # column-major, which tells _fill_pairs and _select_middles that a
         # sorting network selects in it, and makes each column it compares
         # contiguous
         buf = np.empty((m, min(rows, step))).T
+    elif learn:
+        flat = np.empty(_BUFFER_PAIRS)
+        buf = flat[:step * m].reshape(step, m)
     else:
         buf = np.empty((min(rows, step), m))
     out = np.empty(rows)
-    for start in range(0, rows, step):
-        chunk = block[start:start + step]
+    band = None
+    start = 0
+    while start < rows:
+        chunk = block[start:start + (step if band is None else _BUFFER_PAIRS // band.plan.size)]
         medians = out[start:start + len(chunk)]
         if count:
             zeros, infinite = _midpoint(*_count_middle(chunk[0], plan), half, medians)
-        else:
+        elif band is None:
             pairs = buf[:len(chunk)]
             _fill_pairs(chunk, plan, index, pairs)
             if kind == "mad":
@@ -640,7 +802,8 @@ def _row_medians(block: np.ndarray, kind: str,
                 # None is -0.0 after abs, so the sign of a zero median does
                 # not matter.  Only a median of _SAFE_CENTRE or more lets
                 # one pass the largest double; it then rounds to an infinity.
-                _select_medians(pairs, ranks, 1.0, medians)
+                lo, hi = _select_middles(pairs, ranks, medians)
+                _midpoint(lo, hi, 1.0, medians)
                 if len(chunk) == 1:
                     centre = medians.item(0)
                     far = abs(centre)
@@ -653,17 +816,40 @@ def _row_medians(block: np.ndarray, kind: str,
                     with np.errstate(over="ignore"):
                         np.subtract(chunk, centre, out=pairs)
                 np.abs(pairs, out=pairs)
-            zeros, infinite = _select_medians(pairs, ranks, half, medians)
+            lo, hi = _select_middles(pairs, ranks, medians)
+            if learn:
+                band = _learn_band(None, plan, chunk, lo, hi)
+            zeros, infinite = _midpoint(lo, hi, half, medians)
+        else:
+            pairs = flat[:len(chunk) * band.plan.size].reshape(len(chunk), -1)
+            _fill_pairs(chunk, band.plan, band.plan.index, pairs)
+            lo, hi = _select_middles(pairs, band.plan.ranks)
+            misses = _band_misses(chunk, kind, band, lo, hi)
+            if misses.size:
+                # select those rows again with the plan, in the buffer that
+                # holds the band's values, so lo and hi leave it first (as
+                # arrays, also where a chunk of one row gave floats)
+                one = lo is hi
+                lo = np.array(lo, ndmin=1)
+                hi = lo if one else np.array(hi, ndmin=1)
+                for r in range(0, misses.size, step):
+                    again = misses[r:r + step]
+                    _fill_pairs(chunk[again], plan, index, buf[:again.size])
+                    lo[again], hi[again] = _select_middles(buf[:again.size], ranks)
+                band = _learn_band(band, plan, chunk[misses], lo[misses], hi[misses])
+            zeros, infinite = _midpoint(lo, hi, half, medians)
         if hl:
             # a middle pair sum passed the largest double, though its half
-            # does not: select again among the sums of halved values
+            # does not: select again among the sums of halved values, with
+            # the plan
             for r in infinite:
                 again = 0.5 * chunk[r]
                 if count:
                     _midpoint(*_count_middle(again, plan), 1.0, medians[r:r + 1])
                 else:
-                    _fill_pairs(again[None, :], plan, index, pairs[r:r + 1])
-                    _select_medians(pairs[r:r + 1], ranks, 1.0, medians[r:r + 1])
+                    _fill_pairs(again[None, :], plan, index, buf[:1])
+                    lo, hi = _select_middles(buf[:1], ranks)
+                    _midpoint(lo, hi, 1.0, medians[r:r + 1])
         if kind == "median" or hl:
             # Sorting and partitioning treat -0.0 and +0.0 as equal and may
             # write either for the other, so a median of zeros is ranked by
@@ -671,33 +857,46 @@ def _row_medians(block: np.ndarray, kind: str,
             # sum is negative or -0.0 exactly when the sum is.
             for r in zeros:
                 medians[r] = -0.0 if middle < _negatives(raw[start + r], kind) else 0.0
+        start += len(chunk)
     # |x_i - x_j| is never -0.0, but +0.0 - -0.0 of sorted values can be
     return np.abs(out, out=out) if kind == "shamos" else out
 
 
-def _midpoint(lo: float, hi: float, half: float, out: np.ndarray):
-    """Write the median of one row whose middle values are ``lo <= hi``,
-    equal when there is one middle rank, into ``out[0]``: ``0.5 * (lo +
-    hi)`` of the values scaled by ``half``; return the rows, () or (0,), of
-    zero middle values and of infinite median.  ``lo + hi`` overflows only
-    when both exceed half the largest double, and then ``0.5 * lo + 0.5 *
-    hi`` is the same correctly rounded midpoint; the median stays infinite
-    only when a middle value is."""
-    lo, hi = half * lo, half * hi
-    mid = hi if lo == hi else 0.5 * (lo + hi)
-    if abs(mid) == math.inf:
-        out[0] = mid = 0.5 * lo + 0.5 * hi
-        return (), (0,) if abs(mid) == math.inf else ()
-    out[0] = mid
-    return (0,) if lo == hi == 0 else (), ()
+def _midpoint(lo, hi, half: float, out: np.ndarray):
+    """Write the median of each row whose middle values are ``lo <= hi``
+    into ``out``: ``0.5 * (lo + hi)`` of the values scaled by ``half``;
+    return the rows of zero middle values and the rows of infinite median.
+    One row's middle values are floats, equal when there is one middle
+    rank, and its rows are () or (0,); a block's are arrays, one array when
+    there is one middle rank.  ``lo + hi`` overflows only when both exceed
+    half the largest double, and then ``0.5 * lo + 0.5 * hi`` is the same
+    correctly rounded midpoint; the median stays infinite only when a
+    middle value is."""
+    if isinstance(hi, float):
+        lo, hi = half * lo, half * hi
+        mid = hi if lo == hi else 0.5 * (lo + hi)
+        if abs(mid) == math.inf:
+            out[0] = mid = 0.5 * lo + 0.5 * hi
+            return (), (0,) if abs(mid) == math.inf else ()
+        out[0] = mid
+        return (0,) if lo == hi == 0 else (), ()
+    one = lo is hi
+    hi = half * hi
+    lo = hi if one else half * lo
+    with np.errstate(over="ignore"):
+        out[:] = hi if one else 0.5 * (lo + hi)
+    over = np.isinf(out)
+    infinite = ()
+    if np.count_nonzero(over):
+        out[over] = 0.5 * lo[over] + 0.5 * hi[over]
+        infinite = np.flatnonzero(np.isinf(out))
+    return np.flatnonzero((lo == 0) & (hi == 0)), infinite
 
 
-def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
-                    out: np.ndarray):
-    """Write each row's median into ``out``: the value at the two equal
-    ``ranks``, or the midpoint of the values at the two ranks, each scaled
-    by ``half``; return the rows whose middle values are zeros and the rows
-    whose median is infinite, as ``_midpoint`` does.
+def _select_middles(values: np.ndarray, ranks: tuple[int, int],
+                    spare: np.ndarray | None = None):
+    """The values at the two ``ranks`` of each row, (lo, hi): floats for a
+    single row, else arrays, one array for both when the ranks are equal.
 
     The method depends on the row count and the row length m only.  A
     single row is sorted up to ``_SORT_SINGLE_ROW`` values and partitioned
@@ -709,7 +908,8 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
     ``_SORT_ROW`` values and partitioned beyond.  A partition places the
     upper middle rank, the lower one being the max of the left part.
     Overwrites ``values``, which afterwards need not hold the rows' values,
-    and uses ``out`` as scratch before writing it."""
+    and ``spare``, one value per row, which a column-major ``values`` needs
+    as the network's scratch; the arrays returned may be views of either."""
     rows, m = values.shape
     low, k = ranks
     if rows == 1:
@@ -721,12 +921,12 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
         else:
             values.partition(k, axis=1)
             lo = values.item(0, k) if low == k else values[0, :k].max().item()
-        return _midpoint(lo, values.item(0, k), half, out)
+        return lo, values.item(0, k)
     if not values.flags.c_contiguous:
         # column-major; with one value per row a buffer is C-contiguous too,
         # and such rows need no network
         columns = list(values.T)
-        _run_network(_network(m, (low, k)), columns, out)
+        _run_network(_network(m, (low, k)), columns, spare)
         lo, hi = columns[low], columns[k]
     elif m <= _SORT_ROW:
         values.sort(axis=1)
@@ -737,16 +937,7 @@ def _select_medians(values: np.ndarray, ranks: tuple[int, int], half: float,
         values.partition(k, axis=1)
         hi = values[:, k]
         lo = hi if low == k else np.maximum.reduce(values[:, :k], axis=1)
-    hi = half * hi
-    lo = hi if low == k else half * lo
-    with np.errstate(over="ignore"):
-        out[:] = hi if low == k else 0.5 * (lo + hi)
-    over = np.isinf(out)
-    infinite = ()
-    if np.count_nonzero(over):
-        out[over] = 0.5 * lo[over] + 0.5 * hi[over]
-        infinite = np.flatnonzero(np.isinf(out))
-    return np.flatnonzero((lo == 0) & (hi == 0)), infinite
+    return (hi, hi) if low == k else (lo, hi)
 
 
 @lru_cache(maxsize=None)

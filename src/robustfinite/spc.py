@@ -74,11 +74,15 @@ class SubgroupSeries:
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=float)
         if arr.ndim != 2:
-            raise ValueError("subgroup data must be a k x n matrix")
+            raise ValueError(f"subgroup data must be a k x n matrix, "
+                             f"got an array of shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 2:
-            raise ValueError("need k >= 1 subgroups of size n >= 2")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("subgroup data contains NaN or infinite values")
+            raise ValueError(f"need k >= 1 subgroups of size n >= 2, got shape {arr.shape}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0].tolist()
+            raise ValueError(f"subgroup data contains NaN or infinite values, "
+                             f"first {arr[row, col]} at (row {row}, column {col})")
         object.__setattr__(self, "data", arr)
 
     @property

@@ -517,3 +517,155 @@ def test_mad_and_consistent_scales_do_not_warn_near_largest_double():
         "0x1.7619f6201b43bp+1020", "0x1.a285b37a12ff1p+1023", "-0x1.44ff35f20c2e3p+1023", math.inf]
     assert [shamos.center.hex(), shamos.ucl, shamos.lcl, shamos.three_sigma] == [
         "0x1.7619f6201b43bp+1020", math.inf, -math.inf, math.inf]
+
+
+def band_from(kind):
+    """The smallest n whose plan keeps enough pairs for a block to select
+    in a band."""
+    return next(n for n in range(2, 200) if est._pair_plan(n, kind).size >= est._BAND_PAIRS)
+
+
+@pytest.fixture
+def bands(monkeypatch):
+    """(rows, misses) of each chunk a band has selected in."""
+    calls = []
+
+    def spy(rows, kind, band, lo, hi):
+        misses = band_misses(rows, kind, band, lo, hi)
+        calls.append((len(rows), misses.size))
+        return misses
+
+    band_misses = est._band_misses
+    monkeypatch.setattr(est, "_band_misses", spy)
+    return calls
+
+
+def without_band(block, kind, monkeypatch):
+    """``_row_medians`` with every chunk selected from the whole plan."""
+    with monkeypatch.context() as patch:
+        patch.setattr(est, "_BAND_ROWS", math.inf)
+        return _row_medians(block, kind)
+
+
+def band_block(rng, kind, n):
+    """Normal rows, the first chunk's among them, then in later chunks rows
+    shifted, scaled by 1e3, with one or three gross outliers, heavy ties,
+    signed zeros, +-1e300 and Cauchy draws; the last chunk is partial."""
+    rows = 2 * est._BAND_ROWS + 7
+    x = rng.normal(size=(rows, n))
+    first = _BUFFER_PAIRS // values_per_row(kind, n)
+    later = np.array_split(np.arange(first, rows), 9)
+    x[later[0]] += 50.0
+    x[later[1]] *= 1e3
+    x[later[2], 0] = 1e9
+    x[later[3], :3] = -1e9
+    x[later[4]] = rng.integers(-3, 4, size=(len(later[4]), n))
+    x[later[5]] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(len(later[5]), n))
+    x[later[6]] = rng.choice([-0.0, 0.0], size=(len(later[6]), n))
+    x[later[7]] = rng.choice([-1e300, -0.0, 0.0, 1e300, 3.0], size=(len(later[7]), n))
+    x[later[8]] = rng.standard_cauchy(size=(len(later[8]), n))
+    return x, first, [part[::max(1, len(part) // 4)] for part in later]
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_band_matches_whole_plan(kind, bands, monkeypatch):
+    """Blocks of several chunks, whose later rows need other pairs than the
+    first chunk's, at the n just below the band, the first n of the band
+    and n = 100: every row as from the whole plan, and sampled rows of each
+    family as the sorted pairs give them.  Rows miss the band on both sides
+    and are selected again."""
+    rng = np.random.default_rng(41)
+    for n in (band_from(kind) - 1, band_from(kind), 100):
+        bands.clear()
+        block, first, sampled = band_block(rng, kind, n)
+        got = _row_medians(block, kind)
+        assert [v.hex() for v in got] == [v.hex() for v in without_band(block, kind, monkeypatch)]
+        for r in [0, *np.concatenate(sampled)]:
+            assert got[r].hex() == sorted_reference(block[r], kind).hex(), (kind, n, r)
+        if n < band_from(kind):
+            assert not bands, (kind, n)
+        else:
+            assert sum(rows for rows, _ in bands) == len(block) - first, (kind, n)
+            assert sum(misses for _, misses in bands) > 0, (kind, n)
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_band_block_with_overflowing_rows(kind, bands, monkeypatch):
+    """Rows in band chunks whose pair values pass the largest double: no
+    warning, and the Hodges-Lehmann rows whose middle sums overflow are
+    selected again from the whole plan among the sums of halved values."""
+    rng = np.random.default_rng(43)
+    n = 100
+    block = rng.normal(size=(est._BAND_ROWS + 300, n))
+    huge = [est._BAND_ROWS - 5, est._BAND_ROWS + 100, len(block) - 1]
+    block[huge[0]] = rng.uniform(0.6, 1.0, n) * 1.7e308
+    block[huge[1]] = -block[huge[0]][::-1]
+    block[huge[2]] = rng.choice([-1.7e308, 1.0, 1.5e308, 1.7e308], n, p=[0.1, 0.05, 0.4, 0.45])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _row_medians(block, kind)
+    assert sum(rows for rows, _ in bands) == len(block) - _BUFFER_PAIRS // values_per_row(kind, n)
+    assert [v.hex() for v in got] == [v.hex() for v in without_band(block, kind, monkeypatch)]
+    with np.errstate(over="ignore"):
+        for r in huge:
+            want = sorted_reference(block[r], kind, halved=kind != "shamos")
+            assert got[r].hex() == want.hex(), (kind, r)
+            assert math.isfinite(want) or kind == "shamos"
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_band_only_in_large_blocks(kind, bands, networks):
+    """A 4096 x 100 block selects in a band; a single row, a block of one
+    row too few, a block whose plan keeps too few pairs and a sorting
+    network's block do not."""
+    rng = np.random.default_rng(47)
+    _row_medians(rng.normal(size=(4096, 100)), kind)
+    assert sum(rows for rows, _ in bands) > 3000
+    bands.clear()
+    small = next(n for n in range(2, 20) if 1 < values_per_row(kind, n) <= est._NETWORK_ROW)
+    for block in (rng.normal(size=(1, 100)), rng.normal(size=(est._BAND_ROWS - 1, 100)),
+                  rng.normal(size=(4096, band_from(kind) - 1)), rng.normal(size=(4096, small))):
+        _row_medians(block, kind)
+    assert not bands
+    assert networks == [4096]
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_band_holds_both_middle_ranks(kind):
+    """The band of whole windows is the plan itself, and no band is made
+    that leaves a middle rank below or above it."""
+    plan = est._pair_plan(100, kind)
+    every = est._windows(plan)[1]
+    none = np.zeros_like(every)
+    whole = est._band(plan, none, every)
+    assert (whole.plan.size, whole.plan.ranks, whole.plan.diagonal) == (
+        plan.size, plan.ranks, plan.diagonal)
+    assert np.array_equal(whole.plan.starts, plan.starts)
+    assert np.array_equal(whole.plan.stops, plan.stops)
+    assert whole.below[0].size == whole.above[0].size == 0
+    assert est._band(plan, every, every) is None
+    assert est._band(plan, none, none) is None
+    # every pair of the first half of the i below the band, of the second
+    # half above it: the ranks fall outside on one side or the other
+    half = np.arange(every.size) < every.size // 2
+    assert est._band(plan, np.where(half, every, 0), np.where(half, every, 0)) is None
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_band_chunk_of_one_row_that_misses(kind, bands, monkeypatch):
+    """Copies of one row learn a narrow band that no copy misses; the last
+    chunk holds one other row alone, which misses it."""
+    rng = np.random.default_rng(53)
+    n = 100
+    x = rng.normal(size=n)
+    _row_medians(np.tile(x, (est._BAND_ROWS, 1)), kind)
+    step = bands[0][0]
+    assert all(misses == 0 for _, misses in bands)
+    first = _BUFFER_PAIRS // values_per_row(kind, n)
+    block = np.tile(x, (first + -(-(est._BAND_ROWS - first) // step) * step + 1, 1))
+    block[-1] = rng.standard_cauchy(size=n)
+    bands.clear()
+    got = _row_medians(block, kind)
+    assert bands[-1] == (1, 1), (kind, bands[-3:])
+    assert [v.hex() for v in got] == [v.hex() for v in without_band(block, kind, monkeypatch)]
+    assert got[-1].hex() == sorted_reference(block[-1], kind).hex()

@@ -52,14 +52,18 @@ class TestChartFactors:
 
 class TestSubgroupSeries:
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"size n >= 2, got shape \(0, 5\)"):
             SubgroupSeries(np.zeros((0, 5)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"size n >= 2, got shape \(3, 1\)"):
             SubgroupSeries(np.zeros((3, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"k x n matrix, got an array of shape \(5,\)"):
             SubgroupSeries(np.zeros(5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"shape \(2, 3, 4\)"):
+            SubgroupSeries(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match=r"first nan at \(row 0, column 1\)"):
             SubgroupSeries([[1.0, math.nan], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"first -inf at \(row 2, column 0\)"):
+            SubgroupSeries([[1.0, 2.0], [0.0, 1.0], [-math.inf, math.nan]])
 
     def test_statistics_cache(self):
         s = _normal_series(k=4, n=6)
