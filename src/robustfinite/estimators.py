@@ -36,26 +36,27 @@ the scalar API from n of about 270 (hl3, shamos) or 380 (hl1, hl2) on, or
 too long to share the buffer: ``_count_middle`` selects its two middle
 values by counting in its sorted pair matrix, in O(n log n) time and O(n)
 memory.  Blocks of shorter rows, as in the simulator and the control
-charts, keep the buffer.  A block of 2048 rows or more whose plan keeps
-1200 pairs or more per row, as in the simulator from n = 53 (hl3, shamos),
-73 (hl2) or 74 (hl1) on, selects its first chunk from the plan's pairs and
-then learns a band (``_Band``): for each i, the pairs (i, j) that the rows
-so far needed, widened a little, at the middle ranks less the pairs below
-it.  Later chunks form and select only the band, about half of the plan's
-pairs at n = 100 and a third at n = 200, and check each row exactly: its
-largest pair below the band must not exceed its lower middle value, nor its
-smallest pair above the band fall short of its upper one, so that the
-band's middle values are the plan's (Floyd and Rivest 1975 select among the
-values a sample predicts, then check).  A row that fails is selected again
-from the plan and widens the band.  ``_select_middles`` picks how a chunk's
-rows are selected by the row count and the row length m only: a single row
-is sorted up to 700 values and partitioned beyond; in blocks of 1024 rows
-or more, rows of up to 9 values go through a pruned odd-even merge network
-(Batcher 1968) over whole columns of a column-major buffer, one
-``np.minimum``/``np.maximum`` pair per comparator for all rows at once;
-other block rows are sorted up to 256 values and partitioned beyond.  A
-pair value, a MAD deviation or a scale times its consistency constant past
-the largest double rounds to an infinity without a warning.
+charts, keep the buffer.  A block whose plan keeps 1200 pairs or more per
+row, as in the simulator from n = 53 (hl3, shamos), 73 (hl2) or 74 (hl1)
+on, and which has at least 8 times the rows of the chunks that hold 32
+rows, as its 4096-row blocks do, selects those chunks from the plan's pairs
+and then learns a band (``_Band``): for each i, the pairs (i, j) that the
+rows so far needed, widened a little, at the middle ranks less the pairs
+below it.  Later chunks form and select only the band, about half of the
+plan's pairs at n = 100 and a third at n = 200, and check each row
+exactly: its largest pair below the band must not exceed its lower middle
+value, nor its smallest pair above the band fall short of its upper one, so
+that the band's middle values are the plan's (Floyd and Rivest 1975
+select among the values a sample predicts, then check).  A row that fails
+is selected again from the plan and widens the band.  ``_select_middles``
+picks how a chunk's rows are selected by the row count and the row length
+m only: a single row is sorted up to 700 values and partitioned beyond; in
+blocks of 1024 rows or more, rows of up to 9 values go through a pruned
+odd-even merge network (Batcher 1968) over whole columns of a column-major
+buffer, one ``np.minimum``/``np.maximum`` pair per comparator for all rows
+at once; other block rows are sorted up to 256 values and partitioned
+beyond.  A pair value, a MAD deviation or a scale times its consistency
+constant past the largest double rounds to an infinity without a warning.
 
 The mean and the standard deviation have two kernels: ``math.fsum`` for one
 sample in the scalar API, and numpy's row reductions for a block, which the
@@ -119,17 +120,26 @@ _NETWORK_ROW = 9
 _NETWORK_BLOCK = 1024
 _SORT_ROW = 256
 
-# A block of at least _BAND_ROWS rows whose plan keeps at least _BAND_PAIRS
-# pairs per row selects, after its first chunk, in a band of each i's pairs
-# learned from the rows before, widened by _BAND_MARGIN pairs on each side
-# (see _Band).  Through the band a normal block of 4096 rows took 0.90-1.01
-# times as long at plans of 1075-1115 pairs (n = 50 for shamos and hl3, 70
-# for hl1 and hl2), 0.85-0.95 at 1209-1600 and 0.80-0.82 at 1815-1849;
-# blocks of 2048 rows took 0.92-1.00 at 1380-1424 pairs and 0.71-0.94 from
-# 2246 (n = 100) on, blocks of 1024 rows 1.02-1.12 at 1380-1424 pairs.
-# Margins of 1 and 2 pairs tied, 0 and 3 were slower (CPU time; tables in
+# A block whose plan keeps at least _BAND_PAIRS pairs per row, and which has
+# at least _BAND_CHUNKS times the rows of the whole chunks that hold
+# _LEARN_ROWS rows, selects those chunks with the plan and its later rows in
+# a band of each i's pairs that they needed, widened by _BAND_MARGIN pairs
+# on each side, and again by each row that misses it (see _Band).  Through
+# the band a normal block of 4096 rows took 0.90-1.01 times as long at plans
+# of 1075-1115 pairs (n = 50 for shamos and hl3, 70 for hl1 and hl2),
+# 0.85-0.95 at 1209-1600 and 0.80-0.82 at 1815-1849.  At n = 56-100, blocks
+# of 2.2-5.6 times the rows learned took 0.96-1.48 times as long, of 8.8
+# times or more 0.71-1.00.  Where a chunk holds 1-14 rows (n = 200-800),
+# learning from 32 rows rather than one chunk let 15-62% fewer rows miss
+# and took 0.70-1.05 times as long; a band learned from one row took 1.9-2.1
+# times as long as the plan in blocks of 64 and 128 rows.  Blocks of 8 times
+# the 32 rows learned took 0.54-1.40 times as long where a chunk holds one
+# row (n = 600, 800), shamos the slowest, and 0.40-0.52 at 12 and 16 times.
+# Margins of 1 and 2 pairs tied, 0 and 3 were slower; a band that did not
+# widen took 1.3-1.8 times as long at n = 200 (CPU time; tables in
 # CHANGES.md).
-_BAND_ROWS = 2048
+_BAND_CHUNKS = 8
+_LEARN_ROWS = 32
 _BAND_PAIRS = 1200
 _BAND_MARGIN = 2
 
@@ -618,14 +628,14 @@ class _Band(NamedTuple):
     plan of those pairs, whose middle ranks are the plan's less the values
     below the band, and the pairs (i, j) just below and just above it.
 
-    ``_learn_band`` makes it from the first chunk's rows, selected with the
-    plan: each i's band runs from the fewest pairs any of them had below
-    its lower middle value to the most it had up to its upper one, widened
-    by ``_BAND_MARGIN`` on each side, and it is refused unless both middle
-    ranks fall inside it.  ``_band_misses`` then checks each row selected
-    in it, exactly: the largest pair below the band must be at most the
-    lower middle value selected, and the smallest one above it at least the
-    upper one.  Then the values selected are the plan's middle values, as
+    It is made from the rows of the first chunks, selected with the plan:
+    each i's band runs from the fewest pairs any of them had below its
+    lower middle value to the most it had up to its upper one (``_needed``),
+    widened by ``_BAND_MARGIN`` on each side, and it is refused unless both
+    middle ranks fall inside it.  ``_band_misses`` then checks each row
+    selected in it, exactly: the largest pair below the band must be at
+    most the lower middle value selected, and the smallest one above it at
+    least the upper one.  Then the values selected are the plan's middle values, as
     in Floyd and Rivest's (1975) selection, which also picks its values
     from a guess and checks it.  A row that fails is selected again with
     the plan, and the band widens to take its pairs for later chunks."""
@@ -669,23 +679,24 @@ def _band(plan: _PairPlan, low: np.ndarray, high: np.ndarray) -> _Band | None:
                  (under, wstarts[under] + low[under] - 1), (over, wstarts[over] + high[over]))
 
 
-def _learn_band(band: _Band | None, plan: _PairPlan, rows: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray) -> _Band | None:
-    """``band`` widened, or a first band, to take the pairs that each
-    sorted row of ``rows`` has from below its lower middle value ``lo`` to
-    its upper one ``hi``, and ``_BAND_MARGIN`` more on each side; ``band``
-    itself when that changes nothing."""
+def _needed(plan: _PairPlan, rows: np.ndarray, lo, hi,
+            bounds: tuple[np.ndarray, np.ndarray] | None = None):
+    """(low, high): each i's places in its window (``_windows``) from the
+    fewest pairs that any sorted row of ``rows`` has below its lower middle
+    value ``lo`` to the most it has up to its upper one ``hi``, widened by
+    ``_BAND_MARGIN`` on each side, and by ``bounds``, such a (low, high) of
+    other rows."""
+    # a chunk of one row gives its middle values as floats
+    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
     windows = _windows(plan)
     low = _window_counts(rows, plan.kind, windows, lo, True).min(axis=0) - _BAND_MARGIN
     high = _window_counts(rows, plan.kind, windows, hi, False).max(axis=0) + _BAND_MARGIN
     np.clip(low, 0, None, out=low)
     np.minimum(high, windows[1], out=high)
-    if band is not None:
-        if (low >= band.low).all() and (high <= band.high).all():
-            return band
-        np.minimum(low, band.low, out=low)
-        np.maximum(high, band.high, out=high)
-    return _band(plan, low, high) or band
+    if bounds is not None:
+        np.minimum(low, bounds[0], out=low)
+        np.maximum(high, bounds[1], out=high)
+    return low, high
 
 
 def _band_misses(rows: np.ndarray, kind: str, band: _Band, lo: np.ndarray,
@@ -734,14 +745,14 @@ def _row_medians(block: np.ndarray, kind: str,
     in chunks whose values fill one reused buffer, selected in place; the
     pairwise kinds form only the pairs ``_pair_plan`` keeps, and a row whose
     plan caches no index is counted in by ``_count_middle`` instead when it
-    is the only row or too long to share the buffer.  A block of at least
-    ``_BAND_ROWS`` rows whose plan keeps at least ``_BAND_PAIRS`` pairs
-    selects after its first chunk in a ``_Band``; the rows whose middle sums
-    overflow and the middle zeros are selected and ranked with the plan, as
-    in any block.  Where the sorted rows'
-    extremes reach ``_SAFE_PAIRS``, a pair value past the largest double is
-    rounded to an infinity without a warning.  ``raw`` holds the unsorted
-    rows when ``block`` is given already sorted.
+    is the only row or too long to share the buffer.  A block whose plan
+    keeps at least ``_BAND_PAIRS`` pairs, of at least ``_BAND_CHUNKS`` times
+    the rows of the chunks that hold ``_LEARN_ROWS`` rows, selects after
+    those chunks in a ``_Band``; the rows whose middle sums overflow and the
+    middle zeros are selected and ranked with the plan, as in any block.
+    Where the sorted rows' extremes reach ``_SAFE_PAIRS``, a pair value past
+    the largest double is rounded to an infinity without a warning.  ``raw``
+    holds the unsorted rows when ``block`` is given already sorted.
     """
     rows, n = block.shape
     if raw is None:
@@ -770,9 +781,11 @@ def _row_medians(block: np.ndarray, kind: str,
         if index is None and not count:
             index = _pair_index(plan)
     step = 1 if count else _BUFFER_PAIRS // m or 1
-    # a block this large spans many chunks: it selects its first one with
-    # the plan and the later ones in a band (see _Band)
-    learn = plan is not None and not count and rows >= _BAND_ROWS and m >= _BAND_PAIRS
+    # a block of many times the rows of the chunks that hold _LEARN_ROWS
+    # rows selects those with the plan and the later ones in a band learned
+    # from them (see _Band)
+    learned = -(-_LEARN_ROWS // step) * step
+    learn = plan is not None and not count and m >= _BAND_PAIRS and rows >= _BAND_CHUNKS * learned
     if count:
         buf = None
     elif rows >= _NETWORK_BLOCK and m <= _NETWORK_ROW:
@@ -786,7 +799,7 @@ def _row_medians(block: np.ndarray, kind: str,
     else:
         buf = np.empty((min(rows, step), m))
     out = np.empty(rows)
-    band = None
+    band = bounds = None
     start = 0
     while start < rows:
         chunk = block[start:start + (step if band is None else _BUFFER_PAIRS // band.plan.size)]
@@ -818,7 +831,9 @@ def _row_medians(block: np.ndarray, kind: str,
                 np.abs(pairs, out=pairs)
             lo, hi = _select_middles(pairs, ranks, medians)
             if learn:
-                band = _learn_band(None, plan, chunk, lo, hi)
+                bounds = _needed(plan, chunk, lo, hi, bounds)
+                if start + len(chunk) >= learned:
+                    band = _band(plan, *bounds)
             zeros, infinite = _midpoint(lo, hi, half, medians)
         else:
             pairs = flat[:len(chunk) * band.plan.size].reshape(len(chunk), -1)
@@ -836,7 +851,10 @@ def _row_medians(block: np.ndarray, kind: str,
                     again = misses[r:r + step]
                     _fill_pairs(chunk[again], plan, index, buf[:again.size])
                     lo[again], hi[again] = _select_middles(buf[:again.size], ranks)
-                band = _learn_band(band, plan, chunk[misses], lo[misses], hi[misses])
+                low, high = _needed(plan, chunk[misses], lo[misses], hi[misses],
+                                    (band.low, band.high))
+                if (low < band.low).any() or (high > band.high).any():
+                    band = _band(plan, low, high) or band
             zeros, infinite = _midpoint(lo, hi, half, medians)
         if hl:
             # a middle pair sum passed the largest double, though its half

@@ -525,6 +525,15 @@ def band_from(kind):
     return next(n for n in range(2, 200) if est._pair_plan(n, kind).size >= est._BAND_PAIRS)
 
 
+def learned_rows(kind, n):
+    """The rows of the whole chunks a block selects with the plan and
+    learns its first band from, and the fewest rows of a block that
+    selects in a band."""
+    step = est._BUFFER_PAIRS // values_per_row(kind, n)
+    learned = -(-est._LEARN_ROWS // step) * step
+    return learned, est._BAND_CHUNKS * learned
+
+
 @pytest.fixture
 def bands(monkeypatch):
     """(rows, misses) of each chunk a band has selected in."""
@@ -543,7 +552,7 @@ def bands(monkeypatch):
 def without_band(block, kind, monkeypatch):
     """``_row_medians`` with every chunk selected from the whole plan."""
     with monkeypatch.context() as patch:
-        patch.setattr(est, "_BAND_ROWS", math.inf)
+        patch.setattr(est, "_BAND_CHUNKS", math.inf)
         return _row_medians(block, kind)
 
 
@@ -551,9 +560,9 @@ def band_block(rng, kind, n):
     """Normal rows, the first chunk's among them, then in later chunks rows
     shifted, scaled by 1e3, with one or three gross outliers, heavy ties,
     signed zeros, +-1e300 and Cauchy draws; the last chunk is partial."""
-    rows = 2 * est._BAND_ROWS + 7
+    rows = 4103
     x = rng.normal(size=(rows, n))
-    first = _BUFFER_PAIRS // values_per_row(kind, n)
+    first = learned_rows(kind, n)[0]
     later = np.array_split(np.arange(first, rows), 9)
     x[later[0]] += 50.0
     x[later[1]] *= 1e3
@@ -596,15 +605,15 @@ def test_band_block_with_overflowing_rows(kind, bands, monkeypatch):
     selected again from the whole plan among the sums of halved values."""
     rng = np.random.default_rng(43)
     n = 100
-    block = rng.normal(size=(est._BAND_ROWS + 300, n))
-    huge = [est._BAND_ROWS - 5, est._BAND_ROWS + 100, len(block) - 1]
+    block = rng.normal(size=(2348, n))
+    huge = [2043, 2148, len(block) - 1]
     block[huge[0]] = rng.uniform(0.6, 1.0, n) * 1.7e308
     block[huge[1]] = -block[huge[0]][::-1]
     block[huge[2]] = rng.choice([-1.7e308, 1.0, 1.5e308, 1.7e308], n, p=[0.1, 0.05, 0.4, 0.45])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _row_medians(block, kind)
-    assert sum(rows for rows, _ in bands) == len(block) - _BUFFER_PAIRS // values_per_row(kind, n)
+    assert sum(rows for rows, _ in bands) == len(block) - learned_rows(kind, n)[0]
     assert [v.hex() for v in got] == [v.hex() for v in without_band(block, kind, monkeypatch)]
     with np.errstate(over="ignore"):
         for r in huge:
@@ -615,15 +624,19 @@ def test_band_block_with_overflowing_rows(kind, bands, monkeypatch):
 
 @pytest.mark.parametrize("kind", PAIRWISE)
 def test_band_only_in_large_blocks(kind, bands, networks):
-    """A 4096 x 100 block selects in a band; a single row, a block of one
-    row too few, a block whose plan keeps too few pairs and a sorting
-    network's block do not."""
+    """A 4096 x 100 block and the smallest block of rows of 100 that may
+    select in a band do; a single row, a block of one row too few, a block
+    whose plan keeps too few pairs and a sorting network's block do not."""
     rng = np.random.default_rng(47)
     _row_medians(rng.normal(size=(4096, 100)), kind)
     assert sum(rows for rows, _ in bands) > 3000
+    learned, fewest = learned_rows(kind, 100)
+    bands.clear()
+    _row_medians(rng.normal(size=(fewest, 100)), kind)
+    assert sum(rows for rows, _ in bands) == fewest - learned
     bands.clear()
     small = next(n for n in range(2, 20) if 1 < values_per_row(kind, n) <= est._NETWORK_ROW)
-    for block in (rng.normal(size=(1, 100)), rng.normal(size=(est._BAND_ROWS - 1, 100)),
+    for block in (rng.normal(size=(1, 100)), rng.normal(size=(fewest - 1, 100)),
                   rng.normal(size=(4096, band_from(kind) - 1)), rng.normal(size=(4096, small))):
         _row_medians(block, kind)
     assert not bands
@@ -658,14 +671,34 @@ def test_band_chunk_of_one_row_that_misses(kind, bands, monkeypatch):
     rng = np.random.default_rng(53)
     n = 100
     x = rng.normal(size=n)
-    _row_medians(np.tile(x, (est._BAND_ROWS, 1)), kind)
+    first = learned_rows(kind, n)[0]
+    _row_medians(np.tile(x, (4096, 1)), kind)
     step = bands[0][0]
     assert all(misses == 0 for _, misses in bands)
-    first = _BUFFER_PAIRS // values_per_row(kind, n)
-    block = np.tile(x, (first + -(-(est._BAND_ROWS - first) // step) * step + 1, 1))
+    block = np.tile(x, (first + -(-(4096 - first) // step) * step + 1, 1))
     block[-1] = rng.standard_cauchy(size=n)
     bands.clear()
     got = _row_medians(block, kind)
     assert bands[-1] == (1, 1), (kind, bands[-3:])
     assert [v.hex() for v in got] == [v.hex() for v in without_band(block, kind, monkeypatch)]
     assert got[-1].hex() == sorted_reference(block[-1], kind).hex()
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+@pytest.mark.parametrize("per_chunk", [1, 3])
+def test_band_learned_over_chunks_of_few_rows(kind, per_chunk, bands, monkeypatch):
+    """A buffer that holds one or three rows of the plan, as for n of about
+    550 to 1100: the first band is learned over many chunks, from middle
+    values a chunk of one row gives as floats, and every row is as from the
+    whole plan."""
+    n = 100
+    monkeypatch.setattr(est, "_BUFFER_PAIRS", per_chunk * values_per_row(kind, n) + 1)
+    first, fewest = learned_rows(kind, n)
+    assert first == -(-est._LEARN_ROWS // per_chunk) * per_chunk
+    block, first, sampled = band_block(np.random.default_rng(59), kind, n)
+    got = _row_medians(block, kind)
+    assert sum(rows for rows, _ in bands) == len(block) - first
+    assert sum(misses for _, misses in bands) > 0
+    assert [v.hex() for v in got] == [v.hex() for v in without_band(block, kind, monkeypatch)]
+    for r in [0, *np.concatenate(sampled)]:
+        assert got[r].hex() == sorted_reference(block[r], kind).hex(), (kind, r)
