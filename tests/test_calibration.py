@@ -126,6 +126,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             regenerate_table("bias", [5.7], master_seed=0, replications=100)
 
+    def test_empty_size_list_is_named(self):
+        message = r"^n_values must hold at least one sample size, got none$"
+        with pytest.raises(ValueError, match=message):
+            simulate(SimulationConfig("mad", (), 1, 1000, 1))
+        with pytest.raises(ValueError, match=message):
+            regenerate_table("bias", [], 1, 1000)
+
     def test_non_integer_replications_is_named(self):
         runs = (
             lambda: simulate(SimulationConfig("mean", (3,), master_seed=0,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from robustfinite import estimators, factors
-from robustfinite.cli import main
+from robustfinite.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -291,6 +291,28 @@ class TestSpcDemo:
                                  "--seed", "7")
         assert (code, out) == (1, "")
         assert err == "error: bad number 'abc' in --delta '0, abc'\n"
+
+
+def test_repeated_calls_share_one_parser(capsys, obs_file):
+    """The parser is built once per process: a second run of each command
+    writes the same bytes, and a usage error after other subcommands still
+    exits 2 with the same message."""
+    runs = (("estimate", "--estimator", "hl1", "--input", obs_file),
+            ("simulate", "--estimator", "hl1", "--n", "20", "--reps", "500", "--seed", "3",
+             "--workers", "1"),
+            ("factors", "--n", "150", "--model", "williams"))
+    first = [run_cli(capsys, *argv) for argv in runs]
+    assert [code for code, _, _ in first] == [0, 0, 0]
+    assert [run_cli(capsys, *argv) for argv in runs] == first
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--estimator", "mad", "--n", "2", "--reps", "500"])
+        errors.append((exc.value.code, capsys.readouterr().err))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 2
+    assert "the following arguments are required: --seed" in errors[0][1]
+    assert build_parser.cache_info().misses == 1
 
 
 def test_unknown_subcommand_usage_error():

@@ -134,6 +134,19 @@ class TestBiasModels:
         with pytest.raises(ValueError):
             BiasModel("cubic", "mad", (1.0, 2.0))
 
+    @pytest.mark.parametrize("n", [0, -1, -0.5, math.nan, -math.inf])
+    def test_n_not_positive_is_named(self, n):
+        for model in (MAD_BIAS_HAYES, MAD_BIAS_WILLIAMS):
+            with pytest.raises(ValueError, match=rf"^n must be positive, got {n!r}$"):
+                model.evaluate(n)
+
+    @pytest.mark.parametrize("coefficients", [
+        (1.0,), (1.0, 2.0, 3.0), (1.0, math.nan), (math.inf, 1.0), (1.0, "2"), None, 1.0])
+    def test_coefficients_must_be_two_finite_numbers(self, coefficients):
+        for form in ("hayes", "williams"):
+            with pytest.raises(ValueError, match=r"^model coefficients must be two finite"):
+                BiasModel(form, "bias", coefficients)
+
     def test_table_model_seam_is_continuous(self):
         assert abs(c5(101) - c5(100)) < 0.002
         assert abs(c6(101) - c6(100)) < 0.002

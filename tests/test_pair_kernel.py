@@ -464,6 +464,88 @@ def test_counting_in_many_rounds_matches_filled_block(kind, monkeypatch):
     assert fallbacks
 
 
+def brute_counts(s, kind, t, starts, stops):
+    """How many pair values of each i's window lie below and at most each
+    pivot, formed and compared one window at a time."""
+    below = np.zeros((t.size, s.size), dtype=int)
+    upto = np.zeros_like(below)
+    for i in range(s.size):
+        j = np.arange(starts[i], stops[i])
+        v = s[j] - s[i] if kind == "shamos" else s[j] + s[i]
+        below[:, i] = (v < t[:, None]).sum(axis=1)
+        upto[:, i] = (v <= t[:, None]).sum(axis=1)
+    return below, upto
+
+
+def counting_rows(rng, n):
+    """Sorted rows for the counting core: continuous values, runs of tied
+    observations, signed zeros, distinct values whose sums round alike, and
+    values whose pair sums and differences round to +-inf."""
+    for x in (rng.normal(size=n), rng.integers(-3, 4, n) * 0.5,
+              rng.choice([-1.0, -0.0, 0.0, 1.0], n), 2.0 ** 53 + rng.integers(0, 16, n),
+              rng.uniform(-1, 1, n) * 1.7e308, rng.uniform(0.6, 1.0, n) * 1.7e308,
+              rng.choice([-1.7e308, -0.0, 1.5e308, 1.7e308], n)):
+        yield np.sort(x)
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_count_below_matches_brute_force(kind):
+    """``_count_below`` on windows clipped at both ends, empty ones and the
+    plan's, at pivots that are exact pair values, lie between them, beyond
+    every one, are signed zeros or infinities."""
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 17, 40):
+        for s in counting_rows(rng, n):
+            ends = np.sort(rng.integers(0, n + 1, (2, n)), axis=0)
+            layouts = [tuple(ends), (np.zeros(n, int), np.full(n, n))]
+            if n > 1:
+                starts, widths = est._windows(est._pair_plan(n, kind))
+                layouts.append((starts, starts + widths))
+            with np.errstate(over="ignore"):
+                values = np.unique(np.subtract.outer(s, s) if kind == "shamos"
+                                   else np.add.outer(s, s))
+                exact = rng.choice(values, 6)
+                between = (0.5 * values[:-1] + 0.5 * values[1:])[:4]
+            pivots = [*exact, *between, -0.0, 0.0, math.inf, -math.inf,
+                      values[0] - 1.0, values[-1] + 1.0]
+            for starts, stops in layouts:
+                for t in (np.array(pivots[:1]), np.sort(rng.choice(pivots, 2, replace=False)),
+                          np.array(pivots)):
+                    with np.errstate(over="ignore"):
+                        want = brute_counts(s, kind, t, starts, stops)
+                        got = est._count_below(s, kind, t, starts, stops)
+                    for g, w in zip(got, want):
+                        assert g.tolist() == w.tolist(), (kind, n, list(s), list(t))
+
+
+def test_sample_positions_match_search():
+    """The closed-form places of the systematic sample among windows laid
+    end to end are those ``np.searchsorted`` finds, over random layouts with
+    empty windows and the windows of plans, at sample sizes below and above
+    the pairs in the windows."""
+    rng = np.random.default_rng(67)
+    layouts = []
+    for n in (1, 2, 7, 100, 3000):
+        for _ in range(5):
+            sizes = rng.integers(0, rng.choice([2, 9, n + 1]), n) * (rng.random(n) < 0.7)
+            if sizes.any():
+                starts = rng.integers(0, n, n)
+                layouts.append((starts, starts + sizes))
+    for kind, n in (("shamos", 2000), ("hl3", 10_000)):
+        starts, widths = est._windows(est._pair_plan(n, kind))
+        layouts.append((starts, starts + widths))
+    for starts, stops in layouts:
+        sizes = stops - starts
+        ends = np.cumsum(sizes)
+        total = int(ends[-1])
+        for count in {1, 3, 2048, *((total, total + 5) if total < 10_000 else ())}:
+            f = (2 * np.arange(count) + 1) * total // (2 * count)
+            r = np.searchsorted(ends, f, "right")
+            i, j = est._sample_pairs(count, ends, stops)
+            assert i.tolist() == r.tolist(), (total, count)
+            assert j.tolist() == (f - ends[r] + sizes[r] + starts[r]).tolist(), (total, count)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_pair_overflow_does_not_warn(kind, counted):
     # Pair values and deviations past the largest double round to
