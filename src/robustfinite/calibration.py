@@ -165,6 +165,17 @@ def _validate_estimator_n(estimator: Estimator, n: int) -> None:
     _check_pair_limit(estimator, n)
 
 
+def _check_sizes(n_values, minimum: int | None = None) -> tuple[int, ...]:
+    """``n_values`` as a tuple of one or more integer sample sizes of at
+    least ``minimum``; anything else is a ``ValueError`` that names it."""
+    if not isinstance(n_values, Iterable):
+        raise ValueError(f"n_values must be an iterable of sample sizes, got {n_values!r}")
+    sizes = tuple(_check_int("n (sample size)", n, minimum) for n in n_values)
+    if not sizes:
+        raise ValueError("n_values must hold at least one sample size, got none")
+    return sizes
+
+
 # ---------------------------------------------------------------------------
 # block execution
 
@@ -351,10 +362,7 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimator", Estimator(self.estimator))
-        object.__setattr__(self, "n_values", tuple(_check_int("n (sample size)", n)
-                                                  for n in self.n_values))
-        if not self.n_values:
-            raise ValueError("n_values must hold at least one sample size, got none")
+        object.__setattr__(self, "n_values", _check_sizes(self.n_values))
         _check_int("replications", self.replications, _MIN_REPLICATIONS)
         for n in self.n_values:
             _validate_estimator_n(self.estimator, n)
@@ -542,9 +550,7 @@ def regenerate_table(table_id: str, n_values: Iterable[int], master_seed: int,
     if table_id not in _TABLE_COLUMNS:
         raise ValueError(f"unknown table id {table_id!r}")
     columns = _TABLE_COLUMNS[table_id]
-    n_values = [_check_int("n (sample size)", n, 1) for n in n_values]
-    if not n_values:
-        raise ValueError("n_values must hold at least one sample size, got none")
+    n_values = _check_sizes(n_values, 1)
     baselines = (Estimator.MEAN, Estimator.STD) if table_id == "re" else ()
     batches = {n: tuple(e for e in columns + baselines if n >= e.min_n)
                for n in n_values}

@@ -31,32 +31,35 @@ pairs whose rank bounds leave them within reach of the two middle ranks, as
 X + Y selection (Johnson and Mizoguchi 1978) and the fast Qn and Sn (Croux
 and Rousseeuw 1992) do: about 45% of the values of the Hodges-Lehmann
 variants (for hl3, of its n^2 ordered pairs) and 90% of those of shamos.
-A long pairwise row is not filled when it is the call's only row, as in
-the scalar API from n of about 270 (hl3, shamos) or 380 (hl1, hl2) on, or
-too long to share the buffer: ``_count_middle`` selects its two middle
-values by counting in its sorted pair matrix, in O(n log n) time and O(n)
-memory.  Blocks of shorter rows, as in the simulator and the control
-charts, keep the buffer.  A block whose plan keeps 1200 pairs or more per
-row, as in the simulator from n = 53 (hl3, shamos), 73 (hl2) or 74 (hl1)
-on, and which has at least 8 times the rows of the chunks that hold 32
-rows, as its 4096-row blocks do, selects those chunks from the plan's pairs
-and then learns a band (``_Band``): for each i, the pairs (i, j) that the
-rows so far needed, widened a little, at the middle ranks less the pairs
-below it.  Later chunks form and select only the band, about half of the
-plan's pairs at n = 100 and a third at n = 200, and check each row
-exactly: its largest pair below the band must not exceed its lower middle
-value, nor its smallest pair above the band fall short of its upper one, so
-that the band's middle values are the plan's (Floyd and Rivest 1975
-select among the values a sample predicts, then check).  A row that fails
-is selected again from the plan and widens the band.  ``_select_middles``
-picks how a chunk's rows are selected by the row count and the row length
-m only: a single row is sorted up to 700 values and partitioned beyond; in
-blocks of 1024 rows or more, rows of up to 9 values go through a pruned
-odd-even merge network (Batcher 1968) over whole columns of a column-major
-buffer, one ``np.minimum``/``np.maximum`` pair per comparator for all rows
-at once; other block rows are sorted up to 256 values and partitioned
-beyond.  A pair value, a MAD deviation or a scale times its consistency
-constant past the largest double rounds to an infinity without a warning.
+The plan, a band and each counting round select in one window of pairs
+(i, j) for each i, ``starts[i] <= j < stops[i]``, which holds the diagonal
+pair (i, i) exactly when it starts at i (``_PairPlan``).  A long pairwise
+row is not filled when it is the call's only row, as in the scalar API
+from n of about 270 (hl3, shamos) or 380 (hl1, hl2) on, or too long to
+share the buffer: ``_count_middle`` selects its two middle values by
+counting in its sorted pair matrix, in O(n log n) time and O(n) memory.
+Blocks of shorter rows, as in the simulator and the control charts, keep
+the buffer.  A block whose plan keeps 1200 pairs or more per row, as in
+the simulator from n = 53 (hl3, shamos), 73 (hl2) or 74 (hl1) on, and
+which has at least 8 times the rows of the chunks that hold 32 rows, as
+its 4096-row blocks do, selects those chunks from the plan's pairs and
+then learns a band: the plan narrowed to the places of each window that
+the rows so far needed, widened a little (``_band``).  Later chunks form
+and select only the band, about half of the plan's pairs at n = 100 and a
+third at n = 200, and check each row exactly: its largest pair below the
+band must not exceed its lower middle value, nor its smallest pair above
+the band fall short of its upper one, so that the band's middle values are
+the plan's (Floyd and Rivest 1975 select among the values a sample
+predicts, then check).  A row that fails is selected again from the plan
+and widens the band.  ``_select_middles`` picks how a chunk's rows are
+selected by the row count and the row length m only: a single row is
+sorted up to 700 values and partitioned beyond; in blocks of 1024 rows or
+more, rows of up to 9 values go through a pruned odd-even merge network
+(Batcher 1968) over whole columns of a column-major buffer, one
+``np.minimum``/``np.maximum`` pair per comparator for all rows at once;
+other block rows are sorted up to 256 values and partitioned beyond.  A
+pair value, a MAD deviation or a scale times its consistency constant past
+the largest double rounds to an infinity without a warning.
 
 The mean and the standard deviation have two kernels: ``math.fsum`` for one
 sample in the scalar API, and numpy's row reductions for a block, which the
@@ -124,7 +127,7 @@ _SORT_ROW = 256
 # at least _BAND_CHUNKS times the rows of the whole chunks that hold
 # _LEARN_ROWS rows, selects those chunks with the plan and its later rows in
 # a band of each i's pairs that they needed, widened by _BAND_MARGIN pairs
-# on each side, and again by each row that misses it (see _Band).  Through
+# on each side, and again by each row that misses it (see _band).  Through
 # the band a normal block of 4096 rows took 0.90-1.01 times as long at plans
 # of 1075-1115 pairs (n = 50 for shamos and hl3, 70 for hl1 and hl2),
 # 0.85-0.95 at 1209-1600 and 0.80-0.82 at 1815-1849.  At n = 56-100, blocks
@@ -318,16 +321,17 @@ def _pair_counts(kind: str, n: int, i: np.ndarray, j: np.ndarray):
 
 
 class _PairPlan(NamedTuple):
-    """The pairs ``_row_medians`` forms of a sorted row, and the ranks of the
-    two middle values among them."""
+    """Pairs (i, j), i <= j, of a sorted row that ``_row_medians`` selects
+    in, one window of j for each i: ``starts[i] <= j < stops[i]``, which
+    holds the diagonal pair (i, i) exactly when ``starts[i] == i``.  Its
+    values grow with j, and hl3 counts each pair i < j twice (``_values``)."""
 
     kind: str
-    size: int                 # values formed per row, hl3's twins twice
+    size: int                 # values of the pairs, hl3's twins twice
     ranks: tuple[int, int]    # ranks of the two middle values among them
     middle: int               # rank of the upper one among all the values
-    starts: np.ndarray        # pairs (i, j), i < j, formed for
-    stops: np.ndarray         # starts[i] <= j < stops[i]
-    diagonal: range           # pairs (i, i) formed, for hl2 and hl3
+    starts: np.ndarray
+    stops: np.ndarray
     index: tuple | None       # _pair_index(plan), while it is small
 
 
@@ -336,6 +340,28 @@ class _PairPlan(NamedTuple):
 # ``_row_medians`` call of several rows that share the buffer; a single row,
 # or one too long for the buffer, is counted in without an index.
 _CACHED_INDEX = 1 << 15
+
+
+def _values(kind: str, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """How many values the first ``counts[..., i]`` pairs of the windows
+    from j = ``starts[i]`` stand for: hl3 counts each pair i < j twice and
+    the diagonal pair (i, i) once, the other kinds each pair once."""
+    if kind != "hl3":
+        return counts
+    return 2 * counts - ((starts == np.arange(starts.size)) & (counts > 0))
+
+
+def _narrow(plan: _PairPlan, low: np.ndarray, high: np.ndarray) -> _PairPlan | None:
+    """The plan of the places ``low[i] <= p < high[i]`` of each i's window
+    of ``plan``, whose middle ranks are the plan's less the values below
+    them, or None when a middle rank falls outside it."""
+    starts, stops = plan.starts + low, plan.starts + high
+    size = int(_values(plan.kind, starts, stops - starts).sum())
+    shift = int(_values(plan.kind, plan.starts, low).sum())
+    ranks = (plan.ranks[0] - shift, plan.ranks[1] - shift)
+    if ranks[0] < 0 or ranks[1] >= size:
+        return None
+    return _PairPlan(plan.kind, size, ranks, plan.middle, starts, stops, None)
 
 
 @lru_cache(maxsize=256)
@@ -357,11 +383,12 @@ def _pair_plan(n: int, kind: str) -> _PairPlan:
     m = _multiset_size(kind, n)
     lo_rank, hi_rank = (m - 1) // 2, m // 2
     i = np.arange(n)
+    whole = _PairPlan(kind, m, (lo_rank, hi_rank), hi_rank, i + first, np.full(n, n), None)
 
     def first_j(cond):
-        # the smallest j >= i + first with cond(j), n if none (cond holds
+        # the smallest j of i's window with cond(j), n if none (cond holds
         # from some j on)
-        lo, hi = i + first, np.full(n, n)
+        lo, hi = whole.starts, whole.stops
         while np.count_nonzero(lo < hi):
             mid = (lo + hi) // 2
             ok = cond(mid) | (lo == hi)
@@ -370,44 +397,28 @@ def _pair_plan(n: int, kind: str) -> _PairPlan:
 
     starts = first_j(lambda j: _pair_counts(kind, n, i, j)[1] <= m - lo_rank)
     stops = first_j(lambda j: _pair_counts(kind, n, i, j)[0] > hi_rank + 1)
-    below = starts - i - first
-    if kind == "hl3":
-        below = 2 * below - (below > 0)
-    shift = int(below.sum())
-    diagonal = range(0)
-    if not first:
-        kept = np.flatnonzero((starts == i) & (stops > i))
-        if kept.size:
-            diagonal = range(kept[0], kept[-1] + 1)
-        starts = np.maximum(starts, i + 1)
-        stops = np.maximum(stops, starts)
-    size = int((stops - starts).sum()) * (2 if kind == "hl3" else 1) + len(diagonal)
-    plan = _PairPlan(kind, size, (lo_rank - shift, hi_rank - shift), hi_rank,
-                     starts, stops, diagonal, None)
-    if size <= _CACHED_INDEX:
+    plan = _narrow(whole, starts - whole.starts, stops - whole.starts)
+    if plan.size <= _CACHED_INDEX:
         plan = plan._replace(index=_pair_index(plan))
     # every caller gets these arrays from the cache
-    for a in (starts, stops, *(plan.index or ())):
+    for a in (plan.starts, plan.stops, *(plan.index or ())):
         a.flags.writeable = False
     return plan
 
 
 def _pair_index(plan: _PairPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """How many values a plan forms with each x_i as first operand, and the
-    columns (i, j) of their operands, grouped by i: the diagonal pair (i, i)
-    if formed, then the pairs i < j, twice for hl3: about 45% of the values
-    of the Hodges-Lehmann variants (for hl3, of its n^2 ordered pairs) and
-    90% of those of shamos.  Only asked for while one row's values fit the
-    buffer, so the columns take at most 4 MB."""
-    n = plan.starts.size
+    columns (i, j) of their operands, grouped by i: the pairs of i's window,
+    then for hl3 its pairs i < j again: about 45% of the values of the
+    Hodges-Lehmann variants (for hl3, of its n^2 ordered pairs) and 90% of
+    those of shamos.  Only asked for while one row's values fit the buffer,
+    so the columns take at most 4 MB."""
     pairs = plan.stops - plan.starts
-    diagonal = np.zeros(n, dtype=np.intp)
-    diagonal[plan.diagonal.start:plan.diagonal.stop] = 1
-    counts = diagonal + pairs * (2 if plan.kind == "hl3" else 1)
-    i = np.repeat(np.arange(n), counts)
-    # place among the pairs i < j of i, -1 for the diagonal one
-    at = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts + diagonal, counts)
-    return counts, i, np.where(at < 0, i, plan.starts[i] + at % np.maximum(pairs, 1)[i])
+    counts = _values(plan.kind, plan.starts, pairs)
+    i = np.repeat(np.arange(pairs.size), counts)
+    at = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # hl3's second copies, after the window, are its last pairs, those i < j
+    return counts, i, np.where(at < pairs[i], plan.starts[i], plan.stops[i] - counts[i]) + at
 
 
 def _fill_pairs(rows: np.ndarray, plan: _PairPlan | None, index,
@@ -447,7 +458,9 @@ def _fill_pairs(rows: np.ndarray, plan: _PairPlan | None, index,
 
 def _pair_values(s: np.ndarray, kind: str, i, j):
     """The values of the pairs (i, j) of a sorted row ``s``, formed as
-    ``_fill_pairs`` forms them."""
+    ``_fill_pairs`` forms them; of each column, given sorted rows as the
+    columns of ``s``.  Indexing the first axis keeps a row's gathers on
+    numpy's fast path, which ``s[..., j]`` leaves."""
     return s[j] - s[i] if kind == "shamos" else s[j] + s[i]
 
 
@@ -567,16 +580,12 @@ def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
     n = s.size
     i = np.arange(n)
     first = 1 if kind in ("shamos", "hl1") else 0
-    starts, _ = _windows(plan)
-    stops = plan.stops
+    starts, stops = plan.starts, plan.stops
     low, k = plan.ranks
-    twins = kind == "hl3"
 
     def weigh(c):
         # how many values the first c pairs of each window stand for
-        if not twins:
-            return c.sum(axis=-1)
-        return 2 * c.sum(axis=-1) - np.count_nonzero((starts == i) & (c > 0), axis=-1)
+        return _values(kind, starts, c).sum(axis=-1)
 
     sure = False  # the next pivot must cut a quarter of the pairs
     while True:
@@ -587,7 +596,7 @@ def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
             rows = np.repeat(i, sizes)
             cols = np.arange(total) - np.repeat(ends - sizes - starts, sizes)
             values = _pair_values(s, kind, rows, cols)
-            pool = np.concatenate([values, values[cols != rows]]) if twins else values
+            pool = np.concatenate([values, values[cols != rows]]) if kind == "hl3" else values
             upper = np.partition(pool, k).item(k)
             below = np.bincount(rows[values < upper], minlength=n)
             break
@@ -627,17 +636,6 @@ def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
     return values[values < upper].max().item(), upper
 
 
-def _windows(plan: _PairPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Each i's window of the pairs (i, j) a plan keeps, whose values grow
-    with j: its first j, i itself where the plan forms the diagonal pair,
-    and its width."""
-    i = np.arange(plan.starts.size)
-    starts = plan.starts.copy()
-    d = slice(plan.diagonal.start, plan.diagonal.stop)
-    starts[d] = i[d]
-    return starts, plan.stops - starts
-
-
 def _window_counts(rows: np.ndarray, kind: str, windows, bound: np.ndarray,
                    strict: bool) -> np.ndarray:
     """How many pairs of each i's window lie below ``bound[r]`` (at most it
@@ -658,73 +656,34 @@ def _window_counts(rows: np.ndarray, kind: str, windows, bound: np.ndarray,
     return np.clip((at if kind == "shamos" else at[:, ::-1]) - starts, 0, widths)
 
 
-class _Band(NamedTuple):
-    """The pairs at places ``low[i] <= p < high[i]`` of each i's window of a
-    plan (``_windows``), which a large block's later chunks select in: the
-    plan of those pairs, whose middle ranks are the plan's less the values
-    below the band, and the pairs (i, j) just below and just above it.
+def _band(plan: _PairPlan, low: np.ndarray, high: np.ndarray) -> _PairPlan | None:
+    """The band of the places ``low[i] <= p < high[i]`` of each i's window
+    of ``plan``, with its index, which a large block's later chunks select
+    in, or None when a middle rank would fall outside it.
 
-    It is made from the rows of the first chunks, selected with the plan:
-    each i's band runs from the fewest pairs any of them had below its
-    lower middle value to the most it had up to its upper one (``_needed``),
-    widened by ``_BAND_MARGIN`` on each side, and it is refused unless both
-    middle ranks fall inside it.  ``_band_misses`` then checks each row
-    selected in it, exactly: the largest pair below the band must be at
-    most the lower middle value selected, and the smallest one above it at
-    least the upper one.  Then the values selected are the plan's middle values, as
-    in Floyd and Rivest's (1975) selection, which also picks its values
-    from a guess and checks it.  A row that fails is selected again with
-    the plan, and the band widens to take its pairs for later chunks."""
-
-    plan: _PairPlan
-    low: np.ndarray
-    high: np.ndarray
-    below: tuple[np.ndarray, np.ndarray]
-    above: tuple[np.ndarray, np.ndarray]
-
-
-def _band(plan: _PairPlan, low: np.ndarray, high: np.ndarray) -> _Band | None:
-    """The band of ``plan``'s windows between ``low`` and ``high``, or None
-    when a middle rank would fall outside it.  On hl2 and hl3 it forms the
-    diagonal pairs (i, i) of one range, so every i from the first to the
-    last whose band takes its diagonal pair has its band start there."""
-    wstarts, widths = _windows(plan)
-    n = wstarts.size
-    i = np.arange(n)
-    low, high = low.copy(), high.copy()
-    diagonal = range(0)
-    d = plan.diagonal
-    takes = np.flatnonzero((low[d.start:d.stop] == 0) & (high[d.start:d.stop] > 0)) + d.start
-    if takes.size:
-        diagonal = range(takes[0], takes[-1] + 1)
-        low[diagonal.start:diagonal.stop] = 0
-        np.maximum(high[diagonal.start:diagonal.stop], 1, out=high[diagonal.start:diagonal.stop])
-    below = low
-    if plan.kind == "hl3":
-        below = 2 * low - ((wstarts == i) & (low > 0))
-    shift = int(below.sum())
-    starts = np.maximum(wstarts + low, i + 1)
-    stops = np.maximum(wstarts + high, starts)
-    size = int((stops - starts).sum()) * (2 if plan.kind == "hl3" else 1) + len(diagonal)
-    ranks = (plan.ranks[0] - shift, plan.ranks[1] - shift)
-    if ranks[0] < 0 or ranks[1] >= size:
-        return None
-    band = _PairPlan(plan.kind, size, ranks, plan.middle, starts, stops, diagonal, None)
-    under, over = np.flatnonzero(low > 0), np.flatnonzero(high < widths)
-    return _Band(band._replace(index=_pair_index(band)), low, high,
-                 (under, wstarts[under] + low[under] - 1), (over, wstarts[over] + high[over]))
+    It is learned from the rows of the first chunks, selected with the plan:
+    each i's band runs from the fewest pairs any of them had below its lower
+    middle value to the most it had up to its upper one (``_needed``),
+    widened by ``_BAND_MARGIN`` on each side.  ``_band_misses`` then checks
+    each row selected in it, exactly, so that the values selected are the
+    plan's middle values, as in Floyd and Rivest's (1975) selection, which
+    also picks its values from a guess and checks it.  A row that fails is
+    selected again with the plan, and the band widens to take its pairs for
+    later chunks."""
+    band = _narrow(plan, low, high)
+    return band and band._replace(index=_pair_index(band))
 
 
 def _needed(plan: _PairPlan, rows: np.ndarray, lo, hi,
             bounds: tuple[np.ndarray, np.ndarray] | None = None):
-    """(low, high): each i's places in its window (``_windows``) from the
+    """(low, high): each i's places in its window of ``plan`` from the
     fewest pairs that any sorted row of ``rows`` has below its lower middle
     value ``lo`` to the most it has up to its upper one ``hi``, widened by
     ``_BAND_MARGIN`` on each side, and by ``bounds``, such a (low, high) of
     other rows."""
     # a chunk of one row gives its middle values as floats
     lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
-    windows = _windows(plan)
+    windows = plan.starts, plan.stops - plan.starts
     low = _window_counts(rows, plan.kind, windows, lo, True).min(axis=0) - _BAND_MARGIN
     high = _window_counts(rows, plan.kind, windows, hi, False).max(axis=0) + _BAND_MARGIN
     np.clip(low, 0, None, out=low)
@@ -735,22 +694,24 @@ def _needed(plan: _PairPlan, rows: np.ndarray, lo, hi,
     return low, high
 
 
-def _band_misses(rows: np.ndarray, kind: str, band: _Band, lo: np.ndarray,
+def _band_misses(rows: np.ndarray, plan: _PairPlan, band: _PairPlan, lo: np.ndarray,
                  hi: np.ndarray) -> np.ndarray:
-    """The sorted rows of ``rows`` whose band middle values ``lo`` and
-    ``hi`` need not be their plan's: a pair below the band exceeds ``lo``,
-    or one above it is less than ``hi``.  Otherwise no pair outside the band
-    lies strictly between them, and the band's ranks are those of the
-    plan's middle values less the values below the band, so they are the
+    """The sorted rows of ``rows`` whose middle values ``lo`` and ``hi`` in
+    ``band`` need not be their ``plan``'s: a pair below the band exceeds
+    ``lo``, or one above it is less than ``hi``.  Otherwise no pair outside
+    the band lies strictly between them, and the band's ranks are those of
+    the plan's middle values less the values below the band, so they are the
     plan's middle values.  Pair values grow with j, so the pairs just below
     and just above the band of each i decide, two gathers of at most n."""
-    op = np.subtract if kind == "shamos" else np.add
     miss = np.zeros(len(rows), dtype=bool)
-    (i, j), (ia, ja) = band.below, band.above
+    i = np.flatnonzero(band.starts > plan.starts)
     if i.size:
-        miss |= np.maximum.reduce(op(rows[:, j], rows[:, i]), axis=1) > lo
-    if ia.size:
-        miss |= np.minimum.reduce(op(rows[:, ja], rows[:, ia]), axis=1) < hi
+        below = _pair_values(rows.T, plan.kind, i, band.starts[i] - 1)
+        miss |= np.maximum.reduce(below, axis=0) > lo
+    i = np.flatnonzero(band.stops < plan.stops)
+    if i.size:
+        above = _pair_values(rows.T, plan.kind, i, band.stops[i])
+        miss |= np.minimum.reduce(above, axis=0) < hi
     return np.flatnonzero(miss)
 
 
@@ -784,7 +745,8 @@ def _row_medians(block: np.ndarray, kind: str,
     is the only row or too long to share the buffer.  A block whose plan
     keeps at least ``_BAND_PAIRS`` pairs, of at least ``_BAND_CHUNKS`` times
     the rows of the chunks that hold ``_LEARN_ROWS`` rows, selects after
-    those chunks in a ``_Band``; the rows whose middle sums overflow and the
+    those chunks in the plan narrowed to a band of each i's window that they
+    needed (``_band``); the rows whose middle sums overflow and the
     middle zeros are selected and ranked with the plan, as in any block.
     Where the sorted rows' extremes reach ``_SAFE_PAIRS``, a pair value past
     the largest double is rounded to an infinity without a warning.  ``raw``
@@ -819,7 +781,7 @@ def _row_medians(block: np.ndarray, kind: str,
     step = 1 if count else _BUFFER_PAIRS // m or 1
     # a block of many times the rows of the chunks that hold _LEARN_ROWS
     # rows selects those with the plan and the later ones in a band learned
-    # from them (see _Band)
+    # from them (see _band)
     learned = -(-_LEARN_ROWS // step) * step
     learn = plan is not None and not count and m >= _BAND_PAIRS and rows >= _BAND_CHUNKS * learned
     if count:
@@ -838,7 +800,7 @@ def _row_medians(block: np.ndarray, kind: str,
     band = bounds = None
     start = 0
     while start < rows:
-        chunk = block[start:start + (step if band is None else _BUFFER_PAIRS // band.plan.size)]
+        chunk = block[start:start + (step if band is None else _BUFFER_PAIRS // band.size)]
         medians = out[start:start + len(chunk)]
         if count:
             zeros, infinite = _midpoint(*_count_middle(chunk[0], plan), half, medians)
@@ -872,10 +834,10 @@ def _row_medians(block: np.ndarray, kind: str,
                     band = _band(plan, *bounds)
             zeros, infinite = _midpoint(lo, hi, half, medians)
         else:
-            pairs = flat[:len(chunk) * band.plan.size].reshape(len(chunk), -1)
-            _fill_pairs(chunk, band.plan, band.plan.index, pairs)
-            lo, hi = _select_middles(pairs, band.plan.ranks)
-            misses = _band_misses(chunk, kind, band, lo, hi)
+            pairs = flat[:len(chunk) * band.size].reshape(len(chunk), -1)
+            _fill_pairs(chunk, band, band.index, pairs)
+            lo, hi = _select_middles(pairs, band.ranks)
+            misses = _band_misses(chunk, plan, band, lo, hi)
             if misses.size:
                 # select those rows again with the plan, in the buffer that
                 # holds the band's values, so lo and hi leave it first (as
@@ -887,10 +849,10 @@ def _row_medians(block: np.ndarray, kind: str,
                     again = misses[r:r + step]
                     _fill_pairs(chunk[again], plan, index, buf[:again.size])
                     lo[again], hi[again] = _select_middles(buf[:again.size], ranks)
-                low, high = _needed(plan, chunk[misses], lo[misses], hi[misses],
-                                    (band.low, band.high))
-                if (low < band.low).any() or (high > band.high).any():
-                    band = _band(plan, low, high) or band
+                low, high = _needed(plan, chunk[misses], lo[misses], hi[misses], bounds)
+                if (low < bounds[0]).any() or (high > bounds[1]).any():
+                    bounds = low, high
+                    band = _band(plan, *bounds)
             zeros, infinite = _midpoint(lo, hi, half, medians)
         if hl:
             # a middle pair sum passed the largest double, though its half

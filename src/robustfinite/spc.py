@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -230,6 +232,14 @@ def _experiment_block(rng: np.random.Generator, size: int, k: int, n: int,
     return out
 
 
+def _check_real(name: str, value) -> float:
+    """``value`` as a float if it is a real number; anything else, a string
+    or a bool too, is a ``ValueError`` that names the input."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
                              sigma: float = 1.0,
                              delta_grid=(0, 10, 20, 30, 40, 50),
@@ -247,7 +257,8 @@ def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
     variance) relative to 3*sigma.  ``k``, ``n``, ``corrupt_count`` and
     ``replications`` must be integers, with k >= 1, n >= 2, corrupt_count
     in 0..n and at least 100 replications; ``mu``, ``sigma`` and every delta
-    must be finite, ``sigma`` positive, and ``delta_grid`` non-empty.
+    must be finite real numbers, ``sigma`` positive, and ``delta_grid`` a
+    non-empty iterable of them, not a string.
 
     The std, MAD and Shamos scales of all k subgroups are computed once per
     replication block; each nonzero delta recomputes only the corrupted
@@ -264,12 +275,16 @@ def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,
     corrupt_count = _check_int("corrupt_count", corrupt_count)
     if not 0 <= corrupt_count <= n:
         raise ValueError(f"corrupt_count must be in 0..{n}, got {corrupt_count}")
+    _check_real("mu (process mean)", mu)
+    _check_real("sigma (process standard deviation)", sigma)
     if not math.isfinite(mu):
         raise ValueError(f"mu (process mean) must be finite, got {mu}")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma (process standard deviation) must be finite "
                          f"and positive, got {sigma}")
-    deltas = tuple(float(d) for d in delta_grid)
+    if isinstance(delta_grid, (str, bytes)) or not isinstance(delta_grid, Iterable):
+        raise ValueError(f"delta_grid must be an iterable of shifts, got {delta_grid!r}")
+    deltas = tuple(_check_real("delta_grid shift", d) for d in delta_grid)
     if not deltas:
         raise ValueError("delta_grid must hold at least one shift, got none")
     for d in deltas:

@@ -133,6 +133,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             regenerate_table("bias", [], 1, 1000)
 
+    def test_non_iterable_size_list_is_named(self):
+        message = r"^n_values must be an iterable of sample sizes, got 5$"
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig("mad", 5, master_seed=0)
+        with pytest.raises(ValueError, match=message):
+            regenerate_table("bias", 5, master_seed=0, replications=100)
+
     def test_non_integer_replications_is_named(self):
         runs = (
             lambda: simulate(SimulationConfig("mean", (3,), master_seed=0,

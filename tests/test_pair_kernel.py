@@ -283,7 +283,8 @@ def dominated(p, q, kind):
 def test_rank_bounds_match_brute_force(kind):
     """P and S of every pair against a count over the dominance order, and
     the plan's kept pairs against the brute-force rule: one contiguous range
-    of j for each i, and ranks lowered by the values dropped below."""
+    of j for each i, the diagonal pair (i, i) in it exactly when it starts
+    at i, and ranks lowered by the values dropped below."""
     for n in range(MIN_N[kind], 41):
         values = brute_pairs(n, kind)
         m = len(values)
@@ -307,9 +308,66 @@ def test_rank_bounds_match_brute_force(kind):
         assert plan.size == copies[keep].sum(), (kind, n)
         kept = [p for p, k in zip(distinct, keep) if k]
         for row in range(n):
-            js = [q[1] for q in kept if q[0] == row and q[1] > row]
+            js = [q[1] for q in kept if q[0] == row]
             assert js == list(range(plan.starts[row], plan.stops[row])), (kind, n, row)
-        assert [q[0] for q in kept if q[0] == q[1]] == list(plan.diagonal), (kind, n)
+
+
+def narrowings(rng, kind, widths):
+    """(low, high) places of windows of ``widths`` to narrow them to: mostly
+    whole windows, some cut at either end or empty, and on hl2 and hl3,
+    whose windows may start at their diagonal pair, windows of i and i + 2
+    that keep it with one of i + 1 that drops it."""
+    n = widths.size
+    for _ in range(40):
+        low = rng.integers(0, widths + 1) * (rng.random(n) < 0.3)
+        high = widths - rng.integers(0, widths - low + 1) * (rng.random(n) < 0.3)
+        if kind in ("hl2", "hl3") and n >= 3:
+            i = rng.integers(0, n - 2)
+            low[i:i + 3] = 0, 1, 0
+            high[i:i + 3] = np.maximum(high[i:i + 3], 1)
+        yield low, high
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_narrow_matches_brute_force(kind):
+    """``_narrow`` of the whole pair matrix and of the plan, and the pairs
+    ``_pair_index`` lists of it, against the multiset enumerated pair by
+    pair, hl3's pairs i < j twice and each diagonal pair once: the size,
+    the ranks lowered by the values below, None where a middle rank falls
+    outside, and each pair (i, j) as often as the multiset holds it."""
+    rng = np.random.default_rng(71)
+    made = refused = gaps = 0
+    for n in range(1, 13):
+        values = brute_pairs(n, kind)
+        m = len(values)
+        i = np.arange(n)
+        whole = est._PairPlan(kind=kind, size=m, ranks=((m - 1) // 2, m // 2), middle=m // 2,
+                              starts=i + (kind in ("shamos", "hl1")), stops=np.full(n, n),
+                              index=None)
+        plans = [whole] + ([est._pair_plan(n, kind)] if n >= MIN_N[kind] else [])
+        for plan in plans:
+            widths = plan.stops - plan.starts
+            for low, high in narrowings(rng, kind, widths):
+                first, last = plan.starts + low, plan.starts + high
+                want = sorted(p for p in values if first[p[0]] <= p[1] < last[p[0]])
+                shift = sum(plan.starts[a] <= b < first[a] for a, b in values)
+                ranks = (plan.ranks[0] - shift, plan.ranks[1] - shift)
+                band = est._narrow(plan, low, high)
+                if ranks[0] < 0 or ranks[1] >= len(want):
+                    assert band is None, (kind, n, low, high)
+                    refused += 1
+                    continue
+                made += 1
+                assert (band.size, band.ranks, band.middle) == (len(want), ranks, plan.middle)
+                counts, a, b = est._pair_index(band)
+                assert counts.tolist() == np.bincount(a, minlength=n).tolist()
+                assert np.all(np.diff(a) >= 0)  # grouped by i
+                assert sorted(zip(a.tolist(), b.tolist())) == want, (kind, n, low, high)
+                # diagonal pairs kept at i and i + 2 but not at i + 1
+                diagonal = [(d, d) in want for d in range(n)]
+                gaps += any(diagonal[d] > diagonal[d + 1] < diagonal[d + 2] for d in range(n - 2))
+    assert made and refused
+    assert gaps or kind in ("shamos", "hl1")
 
 
 def test_kept_pairs_at_n_100():
@@ -499,8 +557,8 @@ def test_count_below_matches_brute_force(kind):
             ends = np.sort(rng.integers(0, n + 1, (2, n)), axis=0)
             layouts = [tuple(ends), (np.zeros(n, int), np.full(n, n))]
             if n > 1:
-                starts, widths = est._windows(est._pair_plan(n, kind))
-                layouts.append((starts, starts + widths))
+                plan = est._pair_plan(n, kind)
+                layouts.append((plan.starts, plan.stops))
             with np.errstate(over="ignore"):
                 values = np.unique(np.subtract.outer(s, s) if kind == "shamos"
                                    else np.add.outer(s, s))
@@ -532,8 +590,8 @@ def test_sample_positions_match_search():
                 starts = rng.integers(0, n, n)
                 layouts.append((starts, starts + sizes))
     for kind, n in (("shamos", 2000), ("hl3", 10_000)):
-        starts, widths = est._windows(est._pair_plan(n, kind))
-        layouts.append((starts, starts + widths))
+        plan = est._pair_plan(n, kind)
+        layouts.append((plan.starts, plan.stops))
     for starts, stops in layouts:
         sizes = stops - starts
         ends = np.cumsum(sizes)
@@ -621,8 +679,8 @@ def bands(monkeypatch):
     """(rows, misses) of each chunk a band has selected in."""
     calls = []
 
-    def spy(rows, kind, band, lo, hi):
-        misses = band_misses(rows, kind, band, lo, hi)
+    def spy(rows, plan, band, lo, hi):
+        misses = band_misses(rows, plan, band, lo, hi)
         calls.append((len(rows), misses.size))
         return misses
 
@@ -727,17 +785,20 @@ def test_band_only_in_large_blocks(kind, bands, networks):
 
 @pytest.mark.parametrize("kind", PAIRWISE)
 def test_band_holds_both_middle_ranks(kind):
-    """The band of whole windows is the plan itself, and no band is made
-    that leaves a middle rank below or above it."""
+    """The band of whole windows is the plan itself, with the same pairs,
+    and has no pairs below or above it that a row could miss; and no band
+    is made that leaves a middle rank below or above it."""
     plan = est._pair_plan(100, kind)
-    every = est._windows(plan)[1]
+    every = plan.stops - plan.starts
     none = np.zeros_like(every)
     whole = est._band(plan, none, every)
-    assert (whole.plan.size, whole.plan.ranks, whole.plan.diagonal) == (
-        plan.size, plan.ranks, plan.diagonal)
-    assert np.array_equal(whole.plan.starts, plan.starts)
-    assert np.array_equal(whole.plan.stops, plan.stops)
-    assert whole.below[0].size == whole.above[0].size == 0
+    assert (whole.size, whole.ranks, whole.middle) == (plan.size, plan.ranks, plan.middle)
+    assert np.array_equal(whole.starts, plan.starts)
+    assert np.array_equal(whole.stops, plan.stops)
+    assert all(np.array_equal(a, b) for a, b in zip(whole.index, plan.index))
+    rows = np.sort(np.random.default_rng(0).normal(size=(3, 100)), axis=1)
+    unbounded = est._band_misses(rows, plan, whole, np.full(3, -np.inf), np.full(3, np.inf))
+    assert unbounded.size == 0
     assert est._band(plan, every, every) is None
     assert est._band(plan, none, none) is None
     # every pair of the first half of the i below the band, of the second
