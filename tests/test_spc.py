@@ -321,13 +321,6 @@ class TestContaminationExperiment:
         (dict(delta_grid=(0, math.nan)), r"^delta_grid .* got nan$"),
         (dict(delta_grid=(10, -math.inf)), r"^delta_grid .* got -inf$"),
         (dict(delta_grid=()), r"^delta_grid .* got none$"),
-        (dict(delta_grid="010"), r"^delta_grid must be an iterable of shifts, got '010'$"),
-        (dict(delta_grid=5), r"^delta_grid must be an iterable of shifts, got 5$"),
-        (dict(delta_grid=(0, "10")), r"^delta_grid shift must be a real number, got '10'$"),
-        (dict(mu="5"), r"^mu \(process mean\) must be a real number, got '5'$"),
-        (dict(sigma="1"), r"^sigma \(process standard deviation\) must be a real number, "
-                          r"got '1'$"),
-        (dict(sigma=True), r"^sigma \(.* must be a real number, got True$"),
         (dict(corrupt_count=6), r"^corrupt_count .* got 6$"),
         (dict(corrupt_count=-1), r"^corrupt_count .* got -1$"),
         (dict(k=2.5), r"^k \(subgroups\) must be an integer, got 2.5$"),
@@ -337,6 +330,13 @@ class TestContaminationExperiment:
         (dict(replications=99), r"^replications must be at least 100, got 99$"),
         (dict(replications="200"), r"^replications must be an integer, got '200'$"),
         (dict(k=True), r"^k \(subgroups\) must be an integer, got True$"),
+        (dict(delta_grid="010"), r"^delta_grid must be an iterable of shifts, got '010'$"),
+        (dict(delta_grid=5), r"^delta_grid must be an iterable of shifts, got 5$"),
+        (dict(delta_grid=(0, "10")), r"^delta_grid shift must be a real number, got '10'$"),
+        (dict(mu="5"), r"^mu \(process mean\) must be a real number, got '5'$"),
+        (dict(sigma="1"), r"^sigma \(process standard deviation\) must be a real number, "
+                          r"got '1'$"),
+        (dict(sigma=True), r"^sigma \(.* must be a real number, got True$"),
     ])
     def test_invalid_input_is_named(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
