@@ -42,7 +42,7 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from .estimators import Estimator, _check_int, _check_pair_limit, _row_estimates
+from .estimators import Estimator, _check_int, _check_pair_limit, _is_real, _row_estimates
 from .factors import BiasModel, normalized_variance
 
 __all__ = [
@@ -422,30 +422,33 @@ def simulate(config: SimulationConfig) -> list[SimulationResult]:
 @dataclass(frozen=True)
 class FitInput:
     """Observations (n, value) to fit, with optional per-point weights.
-    Every n must be finite and positive, every value finite, and every
-    weight finite and positive."""
+    Every n must be a finite and positive real number, every value a finite
+    one, and every weight a finite and positive one: not a bool nor a
+    string, which ``float()`` would take."""
 
     points: tuple[tuple[float, float], ...]
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        pts = tuple((float(n), float(y)) for n, y in self.points)
+        pts = tuple((float(n), float(y)) if _is_real(n) and _is_real(y) else (n, y)
+                    for n, y in self.points)
         object.__setattr__(self, "points", pts)
         ns = [n for n, _ in pts]
         if len(pts) < 2:
             raise ValueError("need at least 2 points to fit")
         for n, y in pts:
-            if not (math.isfinite(n) and n > 0 and math.isfinite(y)):
+            if not (_is_real(n) and _is_real(y) and math.isfinite(n) and n > 0
+                    and math.isfinite(y)):
                 raise ValueError(f"point (n={n!r}, value={y!r}) needs a finite "
                                  f"n > 0 and a finite value")
         if len(set(ns)) != len(ns):
             raise ValueError("n values must be distinct")
         if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
+            w = tuple(float(v) if _is_real(v) else v for v in self.weights)
             if len(w) != len(pts):
                 raise ValueError("weights length must match points")
             for (n, y), v in zip(pts, w):
-                if not (math.isfinite(v) and v > 0):
+                if not (_is_real(v) and math.isfinite(v) and v > 0):
                     raise ValueError(f"weight of point (n={n!r}, value={y!r}) must "
                                      f"be finite and positive, got {v!r}")
             object.__setattr__(self, "weights", w)

@@ -51,15 +51,18 @@ band must not exceed its lower middle value, nor its smallest pair above
 the band fall short of its upper one, so that the band's middle values are
 the plan's (Floyd and Rivest 1975 select among the values a sample
 predicts, then check).  A row that fails is selected again from the plan
-and widens the band.  ``_select_middles`` picks how a chunk's rows are
-selected by the row count and the row length m only: a single row is
-sorted up to 700 values and partitioned beyond; in blocks of 1024 rows or
-more, rows of up to 9 values go through a pruned odd-even merge network
-(Batcher 1968) over whole columns of a column-major buffer, one
-``np.minimum``/``np.maximum`` pair per comparator for all rows at once;
-other block rows are sorted up to 256 values and partitioned beyond.  A
-pair value, a MAD deviation or a scale times its consistency constant past
-the largest double rounds to an infinity without a warning.
+and widens the band.  One select step counts in a row or fills the buffer
+with the plan's or the band's pairs and selects at their ranks, for each
+chunk, each row that misses the band and each row whose middle sums
+overflow, selected again with its values halved.  ``_select_middles``
+picks how a chunk's rows are selected by the row count and the row length
+m only: a single row is sorted up to 700 values and partitioned beyond; in
+blocks of 1024 rows or more, rows of up to 9 values go through a pruned
+odd-even merge network (Batcher 1968) over whole columns of a column-major
+buffer, one ``np.minimum``/``np.maximum`` pair per comparator for all rows
+at once; other block rows are sorted up to 256 values and partitioned
+beyond.  A pair value, a MAD deviation or a scale times its consistency
+constant past the largest double rounds to an infinity without a warning.
 
 The mean and the standard deviation have two kernels: ``math.fsum`` for one
 sample in the scalar API, and numpy's row reductions for a block, which the
@@ -72,6 +75,7 @@ from __future__ import annotations
 import enum
 import math
 from functools import lru_cache
+from numbers import Real
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -242,6 +246,29 @@ def _check_int(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: not a bool, which ``float()``
+    would take as 1.0 or 0.0, nor a string, which it would parse."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_real(name: str, value) -> float:
+    """``value`` as a float if it is a real number (``_is_real``); anything
+    else is a ``ValueError`` that names the input."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _check_flag(name: str, value) -> bool:
+    """``value`` if it is a bool; anything else, a numpy bool or a string
+    too, is a ``ValueError`` that names the flag, where ``if value`` would
+    take any truthy value as True."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+    return value
+
+
 def select_kth(values: Iterable[float], k: int) -> float:
     """Return the k-th smallest element (0-based), duplicates preserved.
 
@@ -336,7 +363,7 @@ class _PairPlan(NamedTuple):
 
 
 # A plan of at most this many values caches its index, 512 KB of indices,
-# so the 256 plans hold at most 128 MB.  Larger ones build it once per
+# so the 256 plans hold at most 128 MB.  Larger ones are given it once per
 # ``_row_medians`` call of several rows that share the buffer; a single row,
 # or one too long for the buffer, is counted in without an index.
 _CACHED_INDEX = 1 << 15
@@ -421,21 +448,20 @@ def _pair_index(plan: _PairPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return counts, i, np.where(at < pairs[i], plan.starts[i], plan.stops[i] - counts[i]) + at
 
 
-def _fill_pairs(rows: np.ndarray, plan: _PairPlan | None, index,
-                out: np.ndarray) -> None:
+def _fill_pairs(rows: np.ndarray, plan: _PairPlan | None, out: np.ndarray) -> None:
     """Write the values whose median is taken of each row into the same row
     of ``out``: the row itself for median and mad, and for the pairwise
     kinds the values of ``plan``'s pairs of sorted rows, ``S[j] - S[i]`` for
     shamos and the sums ``S[i] + S[j]``, not yet halved, for the
-    Hodges-Lehmann variants.  ``index`` is ``_pair_index(plan)``: rows too
-    long to share the buffer are never filled, ``_count_middle`` selects in
-    them without forming their pairs.
+    Hodges-Lehmann variants.  ``plan`` carries its index: rows too long to
+    share the buffer are never filled, ``_count_middle`` selects in them
+    without forming their pairs.
     """
     if plan is None:
         out[...] = rows
         return
     op = np.subtract if plan.kind == "shamos" else np.add
-    counts, i, j = index
+    counts, i, j = plan.index
     if len(rows) == 1:
         # one row, as from the scalar API: indexing it costs less than take
         # and repeat, which are faster on many rows
@@ -636,24 +662,24 @@ def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
     return values[values < upper].max().item(), upper
 
 
-def _window_counts(rows: np.ndarray, kind: str, windows, bound: np.ndarray,
+def _window_counts(rows: np.ndarray, plan: _PairPlan, bound: np.ndarray,
                    strict: bool) -> np.ndarray:
-    """How many pairs of each i's window lie below ``bound[r]`` (at most it
-    unless ``strict``) in each sorted row r of ``rows``, as (rows, n).  Each
-    row's ``u = bound - S[i]`` (``bound + S[i]`` for shamos) is merged with
-    the row by one stable sort, which places an equal ``S[j]`` after u when
-    ``strict``; u falls with i (rises, for shamos), so its k-th value in the
-    merged order is that of i = n - 1 - k (k), or one equal to it.  u is
-    rounded, so a count may be off where rounding decides; only a band
-    uses the counts, and its check is exact."""
-    starts, widths = windows
+    """How many pairs of each i's window of ``plan`` lie below ``bound[r]``
+    (at most it unless ``strict``) in each sorted row r of ``rows``, as
+    (rows, n).  Each row's ``u = bound - S[i]`` (``bound + S[i]`` for
+    shamos) is merged with the row by one stable sort, which places an equal
+    ``S[j]`` after u when ``strict``; u falls with i (rises, for shamos), so
+    its k-th value in the merged order is that of i = n - 1 - k (k), or one
+    equal to it.  u is rounded, so a count may be off where rounding
+    decides; only a band uses the counts, and its check is exact."""
     r, n = rows.shape
-    u = bound[:, None] + rows if kind == "shamos" else bound[:, None] - rows
+    shamos = plan.kind == "shamos"
+    u = bound[:, None] + rows if shamos else bound[:, None] - rows
     order = np.argsort(np.concatenate((u, rows) if strict else (rows, u), axis=1),
                        axis=1, kind="stable")
     # the row's values before each u, in the merged order
     at = np.flatnonzero(order < n if strict else order >= n).reshape(r, n) % (2 * n) - np.arange(n)
-    return np.clip((at if kind == "shamos" else at[:, ::-1]) - starts, 0, widths)
+    return np.clip((at if shamos else at[:, ::-1]) - plan.starts, 0, plan.stops - plan.starts)
 
 
 def _band(plan: _PairPlan, low: np.ndarray, high: np.ndarray) -> _PairPlan | None:
@@ -683,11 +709,10 @@ def _needed(plan: _PairPlan, rows: np.ndarray, lo, hi,
     other rows."""
     # a chunk of one row gives its middle values as floats
     lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
-    windows = plan.starts, plan.stops - plan.starts
-    low = _window_counts(rows, plan.kind, windows, lo, True).min(axis=0) - _BAND_MARGIN
-    high = _window_counts(rows, plan.kind, windows, hi, False).max(axis=0) + _BAND_MARGIN
+    low = _window_counts(rows, plan, lo, True).min(axis=0) - _BAND_MARGIN
+    high = _window_counts(rows, plan, hi, False).max(axis=0) + _BAND_MARGIN
     np.clip(low, 0, None, out=low)
-    np.minimum(high, windows[1], out=high)
+    np.minimum(high, plan.stops - plan.starts, out=high)
     if bounds is not None:
         np.minimum(low, bounds[0], out=low)
         np.maximum(high, bounds[1], out=high)
@@ -737,20 +762,18 @@ def _row_medians(block: np.ndarray, kind: str,
     """Median of the values of each row of a (rows, n) float array: the row
     itself for "median", ``|x_i - median|`` for "mad" and ``|x_i - x_j|``
     for "shamos" (both unscaled), ``0.5 * (x_i + x_j)`` for "hl1", "hl2"
-    and "hl3".  Each is the midpoint median of ``_midpoint``, with -0.0
-    ranked before +0.0.  The pairwise kinds sort each row.  Rows are handled
-    in chunks whose values fill one reused buffer, selected in place; the
-    pairwise kinds form only the pairs ``_pair_plan`` keeps, and a row whose
-    plan caches no index is counted in by ``_count_middle`` instead when it
-    is the only row or too long to share the buffer.  A block whose plan
-    keeps at least ``_BAND_PAIRS`` pairs, of at least ``_BAND_CHUNKS`` times
-    the rows of the chunks that hold ``_LEARN_ROWS`` rows, selects after
-    those chunks in the plan narrowed to a band of each i's window that they
-    needed (``_band``); the rows whose middle sums overflow and the
-    middle zeros are selected and ranked with the plan, as in any block.
-    Where the sorted rows' extremes reach ``_SAFE_PAIRS``, a pair value past
-    the largest double is rounded to an infinity without a warning.  ``raw``
-    holds the unsorted rows when ``block`` is given already sorted.
+    and "hl3"; the midpoint median of ``_midpoint``, -0.0 before +0.0.
+    Each chunk of rows goes through one select step, as do the rows that
+    miss a band and those whose middle sums overflow, with halved values.
+    It counts in a sorted row whose plan caches no index (``_count_middle``)
+    when that is the only row or too long to share the buffer; else the
+    values of the rows, of the plan's pairs of the sorted rows or of a
+    band's fill one reused buffer and are selected at their ranks.  A block
+    whose plan keeps ``_BAND_PAIRS`` pairs or more and which has
+    ``_BAND_CHUNKS`` times the rows of the chunks that hold ``_LEARN_ROWS``
+    rows selects its later chunks in a band (``_band``).  Pair values past
+    the largest double round to infinities without a warning.  ``raw``
+    holds the unsorted rows when ``block`` is given sorted.
     """
     rows, n = block.shape
     if raw is None:
@@ -769,15 +792,14 @@ def _row_medians(block: np.ndarray, kind: str,
     # the two middle ones halved: the same doubles as halving every pair.
     half = 0.5 if hl else 1.0
     if kind not in _PAIR_KINDS:
-        plan, index, count = None, None, False
+        plan, count = None, False
         m, ranks, middle = n, ((n - 1) // 2, n // 2), n // 2
     else:
         plan = _pair_plan(n, kind)
         m, ranks, middle = plan.size, plan.ranks, plan.middle
-        index = plan.index
-        count = index is None and (rows == 1 or m > _BUFFER_PAIRS)
-        if index is None and not count:
-            index = _pair_index(plan)
+        count = plan.index is None and (rows == 1 or m > _BUFFER_PAIRS)
+        if plan.index is None and not count:
+            plan = plan._replace(index=_pair_index(plan))
     step = 1 if count else _BUFFER_PAIRS // m or 1
     # a block of many times the rows of the chunks that hold _LEARN_ROWS
     # rows selects those with the plan and the later ones in a band learned
@@ -796,48 +818,46 @@ def _row_medians(block: np.ndarray, kind: str,
         buf = flat[:step * m].reshape(step, m)
     else:
         buf = np.empty((min(rows, step), m))
+
+    def select(part, sel=plan):
+        # the middle values of the rows of part among sel's values
+        if count:
+            return _count_middle(part[0], plan)
+        pairs = (buf[:len(part)] if sel is plan
+                 else flat[:len(part) * sel.size].reshape(len(part), -1))
+        _fill_pairs(part, sel, pairs)
+        return _select_middles(pairs, ranks if sel is plan else sel.ranks)
+
     out = np.empty(rows)
-    band = bounds = None
+    sel, bounds = plan, None
     start = 0
     while start < rows:
-        chunk = block[start:start + (step if band is None else _BUFFER_PAIRS // band.size)]
+        chunk = block[start:start + (step if sel is plan else _BUFFER_PAIRS // sel.size)]
         medians = out[start:start + len(chunk)]
-        if count:
-            zeros, infinite = _midpoint(*_count_middle(chunk[0], plan), half, medians)
-        elif band is None:
+        lo, hi = select(chunk, sel)
+        if kind == "mad":
+            # Deviations from the median, formed from the chunk, since a
+            # network leaves in the buffer only the values it reads.  None
+            # is -0.0 after abs, so the sign of a zero median does not
+            # matter.  Only a median of _SAFE_CENTRE or more lets one pass
+            # the largest double; it then rounds to an infinity.
+            _midpoint(lo, hi, 1.0, medians)
+            if len(chunk) == 1:
+                centre = medians.item(0)
+                far = abs(centre)
+            else:
+                centre = medians[:, None]
+                far = np.maximum.reduce(np.abs(medians))
             pairs = buf[:len(chunk)]
-            _fill_pairs(chunk, plan, index, pairs)
-            if kind == "mad":
-                # Deviations from the median, formed from the chunk, since a
-                # network leaves in the buffer only the values it reads.
-                # None is -0.0 after abs, so the sign of a zero median does
-                # not matter.  Only a median of _SAFE_CENTRE or more lets
-                # one pass the largest double; it then rounds to an infinity.
-                lo, hi = _select_middles(pairs, ranks, medians)
-                _midpoint(lo, hi, 1.0, medians)
-                if len(chunk) == 1:
-                    centre = medians.item(0)
-                    far = abs(centre)
-                else:
-                    centre = medians[:, None]
-                    far = np.maximum.reduce(np.abs(medians))
-                if far < _SAFE_CENTRE:
+            if far < _SAFE_CENTRE:
+                np.subtract(chunk, centre, out=pairs)
+            else:
+                with np.errstate(over="ignore"):
                     np.subtract(chunk, centre, out=pairs)
-                else:
-                    with np.errstate(over="ignore"):
-                        np.subtract(chunk, centre, out=pairs)
-                np.abs(pairs, out=pairs)
-            lo, hi = _select_middles(pairs, ranks, medians)
-            if learn:
-                bounds = _needed(plan, chunk, lo, hi, bounds)
-                if start + len(chunk) >= learned:
-                    band = _band(plan, *bounds)
-            zeros, infinite = _midpoint(lo, hi, half, medians)
-        else:
-            pairs = flat[:len(chunk) * band.size].reshape(len(chunk), -1)
-            _fill_pairs(chunk, band, band.index, pairs)
-            lo, hi = _select_middles(pairs, band.ranks)
-            misses = _band_misses(chunk, plan, band, lo, hi)
+            np.abs(pairs, out=pairs)
+            lo, hi = _select_middles(pairs, ranks)
+        if sel is not plan:
+            misses = _band_misses(chunk, plan, sel, lo, hi)
             if misses.size:
                 # select those rows again with the plan, in the buffer that
                 # holds the band's values, so lo and hi leave it first (as
@@ -847,25 +867,22 @@ def _row_medians(block: np.ndarray, kind: str,
                 hi = lo if one else np.array(hi, ndmin=1)
                 for r in range(0, misses.size, step):
                     again = misses[r:r + step]
-                    _fill_pairs(chunk[again], plan, index, buf[:again.size])
-                    lo[again], hi[again] = _select_middles(buf[:again.size], ranks)
+                    lo[again], hi[again] = select(chunk[again])
                 low, high = _needed(plan, chunk[misses], lo[misses], hi[misses], bounds)
                 if (low < bounds[0]).any() or (high > bounds[1]).any():
                     bounds = low, high
-                    band = _band(plan, *bounds)
-            zeros, infinite = _midpoint(lo, hi, half, medians)
+                    sel = _band(plan, *bounds) or plan
+        elif learn:
+            bounds = _needed(plan, chunk, lo, hi, bounds)
+            if start + len(chunk) >= learned:
+                sel = _band(plan, *bounds) or plan
+        zeros, infinite = _midpoint(lo, hi, half, medians)
         if hl:
             # a middle pair sum passed the largest double, though its half
             # does not: select again among the sums of halved values, with
             # the plan
             for r in infinite:
-                again = 0.5 * chunk[r]
-                if count:
-                    _midpoint(*_count_middle(again, plan), 1.0, medians[r:r + 1])
-                else:
-                    _fill_pairs(again[None, :], plan, index, buf[:1])
-                    lo, hi = _select_middles(buf[:1], ranks)
-                    _midpoint(lo, hi, 1.0, medians[r:r + 1])
+                _midpoint(*select(0.5 * chunk[r:r + 1]), 1.0, medians[r:r + 1])
         if kind == "median" or hl:
             # Sorting and partitioning treat -0.0 and +0.0 as equal and may
             # write either for the other, so a median of zeros is ranked by
@@ -909,8 +926,7 @@ def _midpoint(lo, hi, half: float, out: np.ndarray):
     return np.flatnonzero((lo == 0) & (hi == 0)), infinite
 
 
-def _select_middles(values: np.ndarray, ranks: tuple[int, int],
-                    spare: np.ndarray | None = None):
+def _select_middles(values: np.ndarray, ranks: tuple[int, int]):
     """The values at the two ``ranks`` of each row, (lo, hi): floats for a
     single row, else arrays, one array for both when the ranks are equal.
 
@@ -923,9 +939,8 @@ def _select_middles(values: np.ndarray, ranks: tuple[int, int],
     comparator over a whole column; other block rows are sorted up to
     ``_SORT_ROW`` values and partitioned beyond.  A partition places the
     upper middle rank, the lower one being the max of the left part.
-    Overwrites ``values``, which afterwards need not hold the rows' values,
-    and ``spare``, one value per row, which a column-major ``values`` needs
-    as the network's scratch; the arrays returned may be views of either."""
+    Overwrites ``values``, which afterwards need not hold the rows' values;
+    the arrays returned may be views of it or of the network's scratch row."""
     rows, m = values.shape
     low, k = ranks
     if rows == 1:
@@ -942,7 +957,7 @@ def _select_middles(values: np.ndarray, ranks: tuple[int, int],
         # column-major; with one value per row a buffer is C-contiguous too,
         # and such rows need no network
         columns = list(values.T)
-        _run_network(_network(m, (low, k)), columns, spare)
+        _run_network(_network(m, (low, k)), columns, np.empty(rows))
         lo, hi = columns[low], columns[k]
     elif m <= _SORT_ROW:
         values.sort(axis=1)
@@ -1100,7 +1115,7 @@ def mad(values: Iterable[float], consistent: bool = True) -> float:
     With ``consistent=True`` the result is divided by the normal third
     quartile so it estimates sigma under a normal population.
     """
-    return _estimate(Estimator.MAD, values, consistent)
+    return _estimate(Estimator.MAD, values, _check_flag("consistent", consistent))
 
 
 def shamos(values: Iterable[float], consistent: bool = True) -> float:
@@ -1111,7 +1126,7 @@ def shamos(values: Iterable[float], consistent: bool = True) -> float:
     infinite only when the middle difference itself exceeds the largest
     double, as for ``[-1.7e308, 1.7e308]``.
     """
-    return _estimate(Estimator.SHAMOS, values, consistent)
+    return _estimate(Estimator.SHAMOS, values, _check_flag("consistent", consistent))
 
 
 def std_dev(values: Iterable[float], unbiased_c4: bool = False) -> float:
@@ -1122,7 +1137,7 @@ def std_dev(values: Iterable[float], unbiased_c4: bool = False) -> float:
     whenever the standard deviation is, even past a variance of the
     largest double, as for ``[1e200, -1e200, 0.0]``.
     """
-    if unbiased_c4:
+    if _check_flag("unbiased_c4", unbiased_c4):
         from .factors import _unbiased
 
         return _unbiased(Estimator.STD, values)

@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from numbers import Real
 
-from .estimators import Estimator, _check_int, _row_estimates, _sample
+from .estimators import Estimator, _check_int, _is_real, _row_estimates, _sample
 
 __all__ = [
     "c4",
@@ -126,13 +125,13 @@ class BiasModel:
             raise ValueError(f"unknown model form {self.form!r}")
         c = self.coefficients
         if not (isinstance(c, (tuple, list)) and len(c) == 2
-                and all(isinstance(v, Real) and math.isfinite(v) for v in c)):
+                and all(_is_real(v) and math.isfinite(v) for v in c)):
             raise ValueError(f"model coefficients must be two finite numbers, got {c!r}")
 
     def evaluate(self, n: float) -> float:
         """The model's value at n > 0, which may be ``math.inf``, the
         asymptote."""
-        if not n > 0:  # NaN too
+        if not (_is_real(n) and n > 0):  # NaN too
             raise ValueError(f"n must be positive, got {n!r}")
         a, b = self.coefficients
         if self.form == "hayes":

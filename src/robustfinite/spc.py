@@ -22,12 +22,11 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
 from .calibration import _CONTAMINATION_DOMAIN, _Moments, _run_blocks
-from .estimators import Estimator, _check_int, _row_estimates
+from .estimators import Estimator, _check_int, _check_real, _row_estimates
 from .factors import _UNBIASING, c4, c5, c6
 
 __all__ = [
@@ -230,14 +229,6 @@ def _experiment_block(rng: np.random.Generator, size: int, k: int, n: int,
                 s[:, :1] = column
         out += [_Moments.of(est) for est in _estimates_from_scales(n, scales).values()]
     return out
-
-
-def _check_real(name: str, value) -> float:
-    """``value`` as a float if it is a real number; anything else, a string
-    or a bool too, is a ``ValueError`` that names the input."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 def contamination_experiment(k: int = 10, n: int = 5, mu: float = 5.0,

@@ -591,6 +591,13 @@ class TestFitHayes:
          r"^weight of point \(n=3.0, value=1.0\) .* got nan$"),
         (((2, 1.0), (3, 1.0)), (math.inf, 1.0),
          r"^weight of point \(n=2.0, value=1.0\) .* got inf$"),
+        (((True, 0.1), (2, 0.2)), None, r"^point \(n=True, value=0.1\) needs"),
+        (((2, 0.1), (3, False)), None, r"^point \(n=3, value=False\) needs"),
+        ((("1", "0.1"), (2, 0.2)), None, r"^point \(n='1', value='0.1'\) needs"),
+        (((2, 1.0), (3, 1.0)), (1.0, True),
+         r"^weight of point \(n=3.0, value=1.0\) .* got True$"),
+        (((2, 1.0), (3, 1.0)), ("1", 1.0),
+         r"^weight of point \(n=2.0, value=1.0\) .* got '1'$"),
     ])
     def test_non_finite_or_non_positive_point_is_named(self, points, weights, message):
         with pytest.raises(ValueError, match=message):

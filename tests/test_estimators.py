@@ -168,6 +168,13 @@ class TestValidation:
             with pytest.raises(ValueError, match=rf"^k must be an integer, got {k!r}$"):
                 select_kth([1, 2], k)
 
+    @pytest.mark.parametrize("flag", ["no", "", 0, 1, None, np.True_, np.False_])
+    def test_flags_must_be_bools(self, flag):
+        # any truthy value used to count as True, "no" included
+        for fn, name in ((mad, "consistent"), (shamos, "consistent"), (std_dev, "unbiased_c4")):
+            with pytest.raises(ValueError, match=rf"^{name} must be True or False, got "):
+                fn([1.0, 2.0, 3.0, 4.0], **{name: flag})
+
 
 def test_select_kth_matches_sorting():
     rng = np.random.default_rng(20240811)

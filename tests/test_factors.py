@@ -134,14 +134,15 @@ class TestBiasModels:
         with pytest.raises(ValueError):
             BiasModel("cubic", "mad", (1.0, 2.0))
 
-    @pytest.mark.parametrize("n", [0, -1, -0.5, math.nan, -math.inf])
+    @pytest.mark.parametrize("n", [0, -1, -0.5, math.nan, -math.inf, True, "5"])
     def test_n_not_positive_is_named(self, n):
         for model in (MAD_BIAS_HAYES, MAD_BIAS_WILLIAMS):
             with pytest.raises(ValueError, match=rf"^n must be positive, got {n!r}$"):
                 model.evaluate(n)
 
     @pytest.mark.parametrize("coefficients", [
-        (1.0,), (1.0, 2.0, 3.0), (1.0, math.nan), (math.inf, 1.0), (1.0, "2"), None, 1.0])
+        (1.0,), (1.0, 2.0, 3.0), (1.0, math.nan), (math.inf, 1.0), (1.0, "2"), None, 1.0,
+        (True, False), (1.0, True)])
     def test_coefficients_must_be_two_finite_numbers(self, coefficients):
         for form in ("hayes", "williams"):
             with pytest.raises(ValueError, match=r"^model coefficients must be two finite"):

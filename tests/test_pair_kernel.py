@@ -461,6 +461,26 @@ def test_counted_row_near_largest_double(kind, counted):
     assert counted == [n, n] * 3
 
 
+@pytest.mark.parametrize("kind, n", [("hl1", 1100), ("hl2", 1100), ("hl3", 800), ("shamos", 800)])
+def test_counted_block_row_with_overflowing_middle_sums(kind, n, counted):
+    """Rows too long to share the buffer are counted in within a block too:
+    a normal row as the scalar call gives it, and a row whose middle sums
+    pass the largest double, though their halves do not, counted in again
+    with its values halved."""
+    assert est._pair_plan(n, kind).size > _BUFFER_PAIRS
+    rng = np.random.default_rng(53)
+    block = np.array([rng.normal(size=n), rng.uniform(0.6, 1.0, n) * 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _row_medians(block, kind)
+    assert counted == [n] * (2 if kind == "shamos" else 3)
+    assert got[0].hex() == SCALAR[kind](block[0]).hex()
+    with np.errstate(over="ignore"):
+        want = sorted_reference(block[1], kind, halved=kind != "shamos")
+    assert math.isfinite(want)
+    assert got[1].hex() == want.hex(), kind
+
+
 @pytest.mark.parametrize("kind", PAIRWISE)
 def test_counted_row_matches_filled_block(kind, counted):
     # a block of two rows shares the buffer and is filled; one row alone is
