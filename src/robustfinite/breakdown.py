@@ -18,7 +18,7 @@ a float or a string is an error that names n, never truncated to a size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .estimators import Estimator, _check_int, _multiset_size
 
@@ -109,11 +109,12 @@ _CLOSED_FORMS = {
 
 
 def breakdown_point(n: int, estimator: Estimator | str) -> BreakdownResult:
-    """Closed-form breakdown point for any supported estimator."""
+    """Closed-form breakdown point for any supported estimator, labelled
+    with that estimator where it shares another's closed form."""
     est = Estimator(estimator)
     if est not in _CLOSED_FORMS:
         raise ValueError(f"no breakdown point defined for {est}")
-    return _CLOSED_FORMS[est](n)
+    return replace(_CLOSED_FORMS[est](n), estimator=est)
 
 
 def breakdown_oracle(n: int, estimator: Estimator | str) -> BreakdownResult:

@@ -98,13 +98,14 @@ class _Moments:
 
     ``merge`` combines two summaries with the pairwise update formulas of
     Pebay 2008 (SAND2008-6212), so no sum of squares is ever differenced.
+    Each summarises one value or more: every block holds a replication.
     """
 
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-    m3: float = 0.0
-    m4: float = 0.0
+    count: int
+    mean: float
+    m2: float
+    m3: float
+    m4: float
 
     @staticmethod
     def of(values: np.ndarray) -> "_Moments":
@@ -116,10 +117,6 @@ class _Moments:
                         float((d2 * d2).sum()))
 
     def merge(self, other: "_Moments") -> "_Moments":
-        if self.count == 0:
-            return other
-        if other.count == 0:
-            return self
         na, nb = self.count, other.count
         n = na + nb
         d = other.mean - self.mean
@@ -419,19 +416,34 @@ def simulate(config: SimulationConfig) -> list[SimulationResult]:
 # least-squares fitting of the bias-model forms
 
 
+def _items(name: str, value, what: str = "an iterable", size: int | None = None) -> tuple:
+    """``value``'s items as a tuple, ``size`` of them if given; anything
+    else, a number too, is a ``ValueError`` that names the input and the
+    value, where unpacking or iterating it would raise an anonymous error."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    if items is None or size is not None and len(items) != size:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return items
+
+
 @dataclass(frozen=True)
 class FitInput:
-    """Observations (n, value) to fit, with optional per-point weights.
-    Every n must be a finite and positive real number, every value a finite
-    one, and every weight a finite and positive one: not a bool nor a
-    string, which ``float()`` would take."""
+    """Observations (n, value) to fit, with optional per-point weights:
+    ``points`` is an iterable of (n, value) pairs and ``weights`` one of
+    weights.  Every n must be a finite and positive real number, every
+    value a finite one, and every weight a finite and positive one: not a
+    bool nor a string, which ``float()`` would take."""
 
     points: tuple[tuple[float, float], ...]
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        pairs = (_items("points", p, "(n, value) pairs", 2) for p in _items("points", self.points))
         pts = tuple((float(n), float(y)) if _is_real(n) and _is_real(y) else (n, y)
-                    for n, y in self.points)
+                    for n, y in pairs)
         object.__setattr__(self, "points", pts)
         ns = [n for n, _ in pts]
         if len(pts) < 2:
@@ -444,7 +456,7 @@ class FitInput:
         if len(set(ns)) != len(ns):
             raise ValueError("n values must be distinct")
         if self.weights is not None:
-            w = tuple(float(v) if _is_real(v) else v for v in self.weights)
+            w = tuple(float(v) if _is_real(v) else v for v in _items("weights", self.weights))
             if len(w) != len(pts):
                 raise ValueError("weights length must match points")
             for (n, y), v in zip(pts, w):

@@ -662,57 +662,40 @@ def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
     return values[values < upper].max().item(), upper
 
 
-def _window_counts(rows: np.ndarray, plan: _PairPlan, bound: np.ndarray,
-                   strict: bool) -> np.ndarray:
-    """How many pairs of each i's window of ``plan`` lie below ``bound[r]``
-    (at most it unless ``strict``) in each sorted row r of ``rows``, as
-    (rows, n).  Each row's ``u = bound - S[i]`` (``bound + S[i]`` for
-    shamos) is merged with the row by one stable sort, which places an equal
-    ``S[j]`` after u when ``strict``; u falls with i (rises, for shamos), so
-    its k-th value in the merged order is that of i = n - 1 - k (k), or one
-    equal to it.  u is rounded, so a count may be off where rounding
-    decides; only a band uses the counts, and its check is exact."""
-    r, n = rows.shape
-    shamos = plan.kind == "shamos"
-    u = bound[:, None] + rows if shamos else bound[:, None] - rows
-    order = np.argsort(np.concatenate((u, rows) if strict else (rows, u), axis=1),
-                       axis=1, kind="stable")
-    # the row's values before each u, in the merged order
-    at = np.flatnonzero(order < n if strict else order >= n).reshape(r, n) % (2 * n) - np.arange(n)
-    return np.clip((at if shamos else at[:, ::-1]) - plan.starts, 0, plan.stops - plan.starts)
-
-
 def _band(plan: _PairPlan, low: np.ndarray, high: np.ndarray) -> _PairPlan | None:
     """The band of the places ``low[i] <= p < high[i]`` of each i's window
     of ``plan``, with its index, which a large block's later chunks select
     in, or None when a middle rank would fall outside it.
 
-    It is learned from the rows of the first chunks, selected with the plan:
-    each i's band runs from the fewest pairs any of them had below its lower
-    middle value to the most it had up to its upper one (``_needed``),
-    widened by ``_BAND_MARGIN`` on each side.  ``_band_misses`` then checks
-    each row selected in it, exactly, so that the values selected are the
-    plan's middle values, as in Floyd and Rivest's (1975) selection, which
-    also picks its values from a guess and checks it.  A row that fails is
-    selected again with the plan, and the band widens to take its pairs for
-    later chunks."""
+    The rows a block selects with the plan teach it (``_needed``): those of
+    the first chunks, then each row that misses it, which is selected again
+    with the plan and widens the band for later chunks.  ``_band_misses``
+    checks each row selected in it, exactly, so that the values selected
+    are the plan's middle values, as in Floyd and Rivest's (1975)
+    selection, which also picks its values from a guess and checks it."""
     band = _narrow(plan, low, high)
     return band and band._replace(index=_pair_index(band))
 
 
-def _needed(plan: _PairPlan, rows: np.ndarray, lo, hi,
+def _needed(plan: _PairPlan, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             bounds: tuple[np.ndarray, np.ndarray] | None = None):
     """(low, high): each i's places in its window of ``plan`` from the
-    fewest pairs that any sorted row of ``rows`` has below its lower middle
-    value ``lo`` to the most it has up to its upper one ``hi``, widened by
-    ``_BAND_MARGIN`` on each side, and by ``bounds``, such a (low, high) of
-    other rows."""
-    # a chunk of one row gives its middle values as floats
-    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
-    low = _window_counts(rows, plan, lo, True).min(axis=0) - _BAND_MARGIN
-    high = _window_counts(rows, plan, hi, False).max(axis=0) + _BAND_MARGIN
+    fewest pairs that any sorted row s of ``rows`` has below its lower
+    middle value ``lo[r]`` to the most it has up to its upper one
+    ``hi[r]``, widened by ``_BAND_MARGIN`` on each side, and by ``bounds``,
+    such a (low, high) of other rows.  A search of ``b - s`` (``b + s`` for
+    shamos) in s counts them for each i, the rounded comparison that
+    ``_count_below`` starts from: a count may be off where rounding
+    decides, but only a band uses them, and its check is exact."""
+    shamos = plan.kind == "shamos"
+    below, upto = ([np.searchsorted(s, b + s if shamos else b - s, side)
+                    for s, b in zip(rows, middle.tolist())]
+                   for middle, side in ((lo, "left"), (hi, "right")))
+    width = plan.stops - plan.starts
+    low = np.clip(np.min(below, axis=0) - plan.starts, 0, width) - _BAND_MARGIN
+    high = np.clip(np.max(upto, axis=0) - plan.starts, 0, width) + _BAND_MARGIN
     np.clip(low, 0, None, out=low)
-    np.minimum(high, plan.stops - plan.starts, out=high)
+    np.minimum(high, width, out=high)
     if bounds is not None:
         np.minimum(low, bounds[0], out=low)
         np.maximum(high, bounds[1], out=high)
@@ -764,16 +747,19 @@ def _row_medians(block: np.ndarray, kind: str,
     for "shamos" (both unscaled), ``0.5 * (x_i + x_j)`` for "hl1", "hl2"
     and "hl3"; the midpoint median of ``_midpoint``, -0.0 before +0.0.
     Each chunk of rows goes through one select step, as do the rows that
-    miss a band and those whose middle sums overflow, with halved values.
-    It counts in a sorted row whose plan caches no index (``_count_middle``)
-    when that is the only row or too long to share the buffer; else the
-    values of the rows, of the plan's pairs of the sorted rows or of a
-    band's fill one reused buffer and are selected at their ranks.  A block
-    whose plan keeps ``_BAND_PAIRS`` pairs or more and which has
-    ``_BAND_CHUNKS`` times the rows of the chunks that hold ``_LEARN_ROWS``
-    rows selects its later chunks in a band (``_band``).  Pair values past
-    the largest double round to infinities without a warning.  ``raw``
-    holds the unsorted rows when ``block`` is given sorted.
+    miss a band and those whose middle sums overflow, with halved values;
+    it gives the middle values as floats for the call's only row, else as
+    arrays.  It counts in a sorted row whose plan caches no index
+    (``_count_middle``) when that is the only row or too long to share the
+    buffer; else the values of the rows, of the plan's pairs of the sorted
+    rows or of a band's fill one reused buffer and are selected at their
+    ranks.  A block whose plan keeps ``_BAND_PAIRS`` pairs or more and
+    which has ``_BAND_CHUNKS`` times the rows of the chunks that hold
+    ``_LEARN_ROWS`` rows selects its later chunks in a band (``_band``),
+    which the rows selected with the plan teach in one step (``_needed``).
+    Pair values past the largest double round to infinities without a
+    warning.  ``raw`` holds the unsorted rows when ``block`` is given
+    sorted.
     """
     rows, n = block.shape
     if raw is None:
@@ -801,9 +787,7 @@ def _row_medians(block: np.ndarray, kind: str,
         if plan.index is None and not count:
             plan = plan._replace(index=_pair_index(plan))
     step = 1 if count else _BUFFER_PAIRS // m or 1
-    # a block of many times the rows of the chunks that hold _LEARN_ROWS
-    # rows selects those with the plan and the later ones in a band learned
-    # from them (see _band)
+    # the rows of the whole chunks that teach the first band (see _band)
     learned = -(-_LEARN_ROWS // step) * step
     learn = plan is not None and not count and m >= _BAND_PAIRS and rows >= _BAND_CHUNKS * learned
     if count:
@@ -820,13 +804,18 @@ def _row_medians(block: np.ndarray, kind: str,
         buf = np.empty((min(rows, step), m))
 
     def select(part, sel=plan):
-        # the middle values of the rows of part among sel's values
+        # the middle values of the rows of part among sel's values: floats
+        # for the call's only row, else arrays, a chunk of one row's too
         if count:
-            return _count_middle(part[0], plan)
-        pairs = (buf[:len(part)] if sel is plan
-                 else flat[:len(part) * sel.size].reshape(len(part), -1))
-        _fill_pairs(part, sel, pairs)
-        return _select_middles(pairs, ranks if sel is plan else sel.ranks)
+            lo, hi = _count_middle(part[0], plan)
+        else:
+            pairs = (buf[:len(part)] if sel is plan
+                     else flat[:len(part) * sel.size].reshape(len(part), -1))
+            _fill_pairs(part, sel, pairs)
+            lo, hi = _select_middles(pairs, ranks if sel is plan else sel.ranks)
+        if rows > 1 and len(part) == 1:
+            return np.array([lo]), np.array([hi])
+        return lo, hi
 
     out = np.empty(rows)
     sel, bounds = plan, None
@@ -855,25 +844,24 @@ def _row_medians(block: np.ndarray, kind: str,
                 with np.errstate(over="ignore"):
                     np.subtract(chunk, centre, out=pairs)
             np.abs(pairs, out=pairs)
-            lo, hi = _select_middles(pairs, ranks)
+            # the deviations already fill the buffer, and numpy skips
+            # select's copy of them onto themselves
+            lo, hi = select(pairs)
+        taught = Ellipsis  # every row
         if sel is not plan:
-            misses = _band_misses(chunk, plan, sel, lo, hi)
-            if misses.size:
-                # select those rows again with the plan, in the buffer that
-                # holds the band's values, so lo and hi leave it first (as
-                # arrays, also where a chunk of one row gave floats)
-                one = lo is hi
-                lo = np.array(lo, ndmin=1)
-                hi = lo if one else np.array(hi, ndmin=1)
-                for r in range(0, misses.size, step):
-                    again = misses[r:r + step]
-                    lo[again], hi[again] = select(chunk[again])
-                low, high = _needed(plan, chunk[misses], lo[misses], hi[misses], bounds)
-                if (low < bounds[0]).any() or (high > bounds[1]).any():
-                    bounds = low, high
-                    sel = _band(plan, *bounds) or plan
-        elif learn:
-            bounds = _needed(plan, chunk, lo, hi, bounds)
+            taught = _band_misses(chunk, plan, sel, lo, hi)
+            # select those rows again with the plan, in the buffer that
+            # holds the band's values, so lo and hi leave it first
+            lo, hi = lo.copy(), hi.copy()
+            for r in range(0, taught.size, step):
+                again = taught[r:r + step]
+                lo[again], hi[again] = select(chunk[again])
+        if learn and len(chunk[taught]):
+            # the rows selected with the plan teach the band: every row
+            # until the learned ones, then each row that misses the band,
+            # or every row while no band holds both middle ranks; a band
+            # taught no wider is the same band
+            bounds = _needed(plan, chunk[taught], lo[taught], hi[taught], bounds)
             if start + len(chunk) >= learned:
                 sel = _band(plan, *bounds) or plan
         zeros, infinite = _midpoint(lo, hi, half, medians)

@@ -353,6 +353,7 @@ def normalized_variance(estimator: Estimator | str, n: int, variance: float) -> 
     """Convert a raw estimator variance at N(0,1) to its normalized form:
     n*Var for location, Var/(1 - c4(n)^2) for scale."""
     est = Estimator(estimator)
+    n = _check_int("n", n, est.min_n)
     if est.is_location:
         return n * variance
     return variance / (1.0 - c4(n) ** 2)

@@ -95,6 +95,16 @@ def test_closed_form_matches_oracle_up_to_500(estimator):
         assert closed.k_star == oracle.k_star, (estimator, n)
 
 
+def test_closed_form_names_the_estimator_asked_for():
+    """The whole result equals the oracle's, the estimator too: the MAD and
+    the pairwise-difference scale estimator share the closed forms of the
+    median and hl1, not their labels."""
+    for estimator in ("median", "hl1", "hl2", "hl3", "mad", "shamos"):
+        start = 2 if estimator in ("hl1", "shamos") else 1
+        for n in range(start, 61):
+            assert breakdown_point(n, estimator) == breakdown_oracle(n, estimator), (estimator, n)
+
+
 def test_oracle_spot_values():
     assert breakdown_oracle(5, "hl3").k_star == 1
     assert breakdown_oracle(10, "median").k_star == 4

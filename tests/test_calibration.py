@@ -598,6 +598,10 @@ class TestFitHayes:
          r"^weight of point \(n=3.0, value=1.0\) .* got True$"),
         (((2, 1.0), (3, 1.0)), ("1", 1.0),
          r"^weight of point \(n=2.0, value=1.0\) .* got '1'$"),
+        (((1, 2, 3), (2, 3)), None, r"^points must be \(n, value\) pairs, got \(1, 2, 3\)$"),
+        (((2, 1.0), 3), None, r"^points must be \(n, value\) pairs, got 3$"),
+        (5, None, r"^points must be an iterable, got 5$"),
+        (((2, 1.0), (3, 1.0)), 5, r"^weights must be an iterable, got 5$"),
     ])
     def test_non_finite_or_non_positive_point_is_named(self, points, weights, message):
         with pytest.raises(ValueError, match=message):

@@ -294,6 +294,15 @@ class TestVarianceModels:
             0.1 / (1 - c4(10) ** 2), rel=1e-12)
 
 
+@pytest.mark.parametrize("n, message", [(1.0, "an integer, got 1.0"),
+                                        (2.5, "an integer, got 2.5"),
+                                        (0, "at least 1, got 0")])
+def test_normalized_variance_checks_n(n, message):
+    # a location estimator's n is checked as a scale's is by c4
+    with pytest.raises(ValueError, match=rf"^n must be {message}$"):
+        normalized_variance("median", n, 1.0)
+
+
 @pytest.mark.parametrize("value", [5.7, "7"])
 @pytest.mark.parametrize("call", [
     breakdown_median, breakdown_hl1, breakdown_hl2, breakdown_hl3,

@@ -851,9 +851,8 @@ def test_band_chunk_of_one_row_that_misses(kind, bands, monkeypatch):
 @pytest.mark.parametrize("per_chunk", [1, 3])
 def test_band_learned_over_chunks_of_few_rows(kind, per_chunk, bands, monkeypatch):
     """A buffer that holds one or three rows of the plan, as for n of about
-    550 to 1100: the first band is learned over many chunks, from middle
-    values a chunk of one row gives as floats, and every row is as from the
-    whole plan."""
+    550 to 1100: the first band is learned over many chunks of one or three
+    rows, and every row is as from the whole plan."""
     n = 100
     monkeypatch.setattr(est, "_BUFFER_PAIRS", per_chunk * values_per_row(kind, n) + 1)
     first, fewest = learned_rows(kind, n)
@@ -865,3 +864,34 @@ def test_band_learned_over_chunks_of_few_rows(kind, per_chunk, bands, monkeypatc
     assert [v.hex() for v in got] == [v.hex() for v in without_band(block, kind, monkeypatch)]
     for r in [0, *np.concatenate(sampled)]:
         assert got[r].hex() == sorted_reference(block[r], kind).hex(), (kind, r)
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_needed_matches_brute_force(kind):
+    """``_needed`` on sorted rows of integers, where no rounding decides, at
+    each row's middle values and half a unit and one unit outside them:
+    each i's fewest pairs of its window below the lower value and most up
+    to the upper one over the rows, widened by the margin and clipped to
+    the window; a block taught in two parts as in one."""
+    rng = np.random.default_rng(67)
+    for n in (53, 74, 100):
+        plan = est._pair_plan(n, kind)
+        i, j = np.array(brute_pairs(n, kind)).T
+        for rows in (1, 7):
+            block = np.sort(rng.integers(-30, 31, size=(rows, n)), axis=1).astype(float)
+            values = np.sort(block[:, j] - block[:, i] if kind == "shamos"
+                             else block[:, j] + block[:, i], axis=1)
+            m = values.shape[1]
+            for d in (0.0, 0.5, 1.0):
+                lo, hi = values[:, (m - 1) // 2] - d, values[:, m // 2] + d
+                counts = [brute_counts(s, kind, np.array([a, b]), plan.starts, plan.stops)
+                          for s, a, b in zip(block, lo, hi)]
+                low = np.min([below[0] for below, _ in counts], axis=0) - est._BAND_MARGIN
+                high = np.max([upto[1] for _, upto in counts], axis=0) + est._BAND_MARGIN
+                want = np.maximum(low, 0), np.minimum(high, plan.stops - plan.starts)
+                got = est._needed(plan, block, lo, hi)
+                assert [g.tolist() for g in got] == [w.tolist() for w in want], (kind, n, rows, d)
+                if rows > 1:
+                    first = est._needed(plan, block[:3], lo[:3], hi[:3])
+                    parts = est._needed(plan, block[3:], lo[3:], hi[3:], first)
+                    assert [p.tolist() for p in parts] == [w.tolist() for w in want]
