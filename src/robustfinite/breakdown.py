@@ -11,7 +11,7 @@ Asymptotically eps_n tends to 1/2 for the median/MAD and 1 - 1/sqrt(2)
 (about 0.293) for the pairwise estimators, but small-sample values differ
 noticeably; ``breakdown_table`` tabulates them.
 
-Every n passes ``estimators._check_int``, the package's one integer check:
+Every n passes ``_facts._check_int``, the package's one integer check:
 a float or a string is an error that names n, never truncated to a size.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .estimators import Estimator, _check_int, _multiset_size
+from ._facts import Estimator, _check_int, _multiset_size
 
 __all__ = [
     "BreakdownResult",

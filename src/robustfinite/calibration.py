@@ -21,7 +21,7 @@ bit-identical for any worker count, with workers mapped over blocks by one
 process pool that the process keeps while calls keep coming.
 ``_run_blocks`` also owns the input rules all three share: the seed is an
 integer of at least 0 and the replication count an integer of at least
-100, both checked by ``estimators._check_int``.
+100, both checked by ``_facts._check_int``.
 
 Estimates per replication come from ``estimators._row_estimates``, the
 row path that the scalar API and the control charts share.
@@ -42,7 +42,8 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from .estimators import Estimator, _check_int, _check_pair_limit, _is_real, _row_estimates
+from ._facts import Estimator, _check_int, _is_real
+from .estimators import _check_pair_limit, _row_estimates
 from .factors import BiasModel, normalized_variance
 
 __all__ = [

@@ -7,6 +7,9 @@ from its header.  Randomized subcommands require an explicit --seed.
 
 Exit codes: 0 success, 1 data error (message names the offending input),
 2 usage error.
+
+``factors`` and ``breakdown`` run without numpy: the handlers of the other
+subcommands import the modules they call.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import csv
 import sys
 from functools import lru_cache
 
-from . import __version__, breakdown, calibration, estimators, factors, spc
-from .estimators import Estimator
+from . import __version__, breakdown, factors
+from ._facts import Estimator
 
 _ESTIMATORS = [e.value for e in Estimator]
 
@@ -79,6 +82,8 @@ def _emit(args, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _cmd_estimate(args) -> None:
+    from . import estimators
+
     values = _read_observations(args.input)
     estimator = Estimator(args.estimator)
     if not args.unbiased:
@@ -106,6 +111,8 @@ def _cmd_factors(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    from . import calibration
+
     config = calibration.SimulationConfig(
         estimator=args.estimator,
         n_values=tuple(_parse_n_list(args.n)),
@@ -141,6 +148,8 @@ def _read_fit_points(path: str, column: str) -> list[tuple[float, float]]:
 
 
 def _cmd_fit(args) -> None:
+    from . import calibration
+
     column = "bias" if args.target in ("A", "B", "bias") else "normalized"
     points = _read_fit_points(args.input, column)
     if args.asymptote:
@@ -171,6 +180,8 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _cmd_spc_demo(args) -> None:
+    from . import spc
+
     rows = spc.contamination_experiment(
         k=args.k, n=args.n, mu=args.mu, sigma=args.sigma,
         delta_grid=_parse_float_list(args.delta),

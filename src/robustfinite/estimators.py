@@ -16,7 +16,8 @@ enter the pairwise-average multiset:
 Scale estimators accept ``consistent=True`` (default) to apply the constant
 that makes them consistent for sigma under a normal population.
 
-Each estimator's facts live on its ``Estimator`` member, and
+Each estimator's facts live on its ``Estimator`` member, defined with the
+package's input checks in ``_facts``, which needs no numpy;
 ``_row_estimates``, which reads them, is the one path of the scalar
 functions, the simulator and the control charts; ``factors`` maps each
 scale estimator to its unbiasing factor and variance.
@@ -72,13 +73,13 @@ and both are finite whenever the true value is.
 
 from __future__ import annotations
 
-import enum
 import math
 from functools import lru_cache
-from numbers import Real
 from typing import Iterable, NamedTuple
 
 import numpy as np
+
+from ._facts import NORMAL_Q3, Estimator, _check_flag, _check_int, _multiset_size  # noqa: F401
 
 __all__ = [
     "Estimator",
@@ -158,44 +159,6 @@ _MARGIN = 64
 _GATHER = 4096
 
 
-# Third quartile of N(0,1), the double nearest Phi^-1(0.75).
-NORMAL_Q3 = 0.6744897501960817
-
-
-class Estimator(str, enum.Enum):
-    """Names of the estimators handled by the factor tables and simulator,
-    each with its facts: ``is_location`` (else a scale), ``min_n``, the
-    smallest sample size it is defined for, its ``_row_medians`` kind (None
-    for the mean and the standard deviation) and the constant that makes it
-    consistent for sigma at the normal.  Members pickle by value, the name."""
-
-    def __new__(cls, name: str, is_location: bool, min_n: int, kind: str | None,
-                consistency: float = 1.0):
-        member = str.__new__(cls, name)
-        member._value_ = name
-        member.is_location = is_location
-        member.min_n = min_n
-        member._kind = kind
-        member._consistency = consistency
-        return member
-
-    MEAN = "mean", True, 1, None
-    MEDIAN = "median", True, 1, "median"
-    HL1 = "hl1", True, 2, "hl1"
-    HL2 = "hl2", True, 1, "hl2"
-    HL3 = "hl3", True, 1, "hl3"
-    STD = "std", False, 2, None
-    MAD = "mad", False, 2, "mad", 1.0 / NORMAL_Q3  # ~1.4826
-    SHAMOS = "shamos", False, 2, "shamos", 1.0 / (math.sqrt(2.0) * NORMAL_Q3)  # ~1.048358
-
-    def __str__(self) -> str:  # argparse-friendly
-        return self.value
-
-    @property
-    def is_scale(self) -> bool:
-        return not self.is_location
-
-
 # The _row_medians kinds whose values are pairs of observations.
 _PAIR_KINDS = ("shamos", "hl1", "hl2", "hl3")
 
@@ -230,43 +193,6 @@ def _sample(estimator: Estimator, values: Iterable[float]) -> np.ndarray:
         raise ValueError("sample contains NaN or infinite values")
     _check_pair_limit(estimator, arr.size)
     return arr
-
-
-def _check_int(name: str, value, minimum: int | None = None) -> int:
-    """``value`` as an int of at least ``minimum``: the one check of every
-    size, count and seed.  Anything else (a float, a string, a bool) is a
-    ``ValueError`` that names the input, where ``int()`` would truncate or
-    parse it silently."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if minimum is not None and value < minimum:
-        rule = "a non-negative integer" if minimum == 0 else f"at least {minimum}"
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-    return value
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number: not a bool, which ``float()``
-    would take as 1.0 or 0.0, nor a string, which it would parse."""
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def _check_real(name: str, value) -> float:
-    """``value`` as a float if it is a real number (``_is_real``); anything
-    else is a ``ValueError`` that names the input."""
-    if not _is_real(value):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _check_flag(name: str, value) -> bool:
-    """``value`` if it is a bool; anything else, a numpy bool or a string
-    too, is a ``ValueError`` that names the flag, where ``if value`` would
-    take any truthy value as True."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be True or False, got {value!r}")
-    return value
 
 
 def select_kth(values: Iterable[float], k: int) -> float:
@@ -320,13 +246,6 @@ def _estimate(estimator: Estimator, values: Iterable[float], consistent: bool = 
     """``estimator`` of one sample, a scale consistent unless ``consistent``
     is false: the scalar API's one path."""
     return _row_estimates(estimator, _sample(estimator, values), consistent)
-
-
-def _multiset_size(kind: str, n: int) -> int:
-    """How many values ``_row_medians`` takes the median of in a row of n:
-    n, or the pairs i < j (shamos, hl1), i <= j (hl2) or all (i, j) (hl3)."""
-    return {"median": n, "mad": n, "shamos": n * (n - 1) // 2, "hl1": n * (n - 1) // 2,
-            "hl2": n * (n + 1) // 2, "hl3": n * n}[kind]
 
 
 def _pair_counts(kind: str, n: int, i: np.ndarray, j: np.ndarray):
@@ -404,9 +323,12 @@ def _pair_plan(n: int, kind: str) -> _PairPlan:
     values dropped below: the bound behind X + Y selection (Johnson and
     Mizoguchi 1978) and the fast Qn and Sn (Croux and Rousseeuw 1992).
     For each i the kept j form one range, found by bisection, so the plan is
-    O(n); the cache holds every (n, kind) of a typical session.
+    O(n); the cache holds every (n, kind) of a typical session.  A row too
+    short to hold a pair, n < 2 for shamos and hl1, is a ``ValueError``.
     """
     first = 1 if kind in ("shamos", "hl1") else 0
+    if n <= first:
+        raise ValueError(f"{kind} needs rows of at least {first + 1} values, got n={n}")
     m = _multiset_size(kind, n)
     lo_rank, hi_rank = (m - 1) // 2, m // 2
     i = np.arange(n)

@@ -26,7 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .calibration import _CONTAMINATION_DOMAIN, _Moments, _run_blocks
-from .estimators import Estimator, _check_int, _check_real, _row_estimates
+from ._facts import Estimator, _check_int, _check_real
+from .estimators import _row_estimates
 from .factors import _UNBIASING, c4, c5, c6
 
 __all__ = [

@@ -895,3 +895,11 @@ def test_needed_matches_brute_force(kind):
                     first = est._needed(plan, block[:3], lo[:3], hi[:3])
                     parts = est._needed(plan, block[3:], lo[3:], hi[3:], first)
                     assert [p.tolist() for p in parts] == [w.tolist() for w in want]
+
+
+@pytest.mark.parametrize("kind", ["shamos", "hl1"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_pairless_rows_are_a_named_error(kind, rows):
+    """A row of one value has no pair i < j: the error names the kind and n."""
+    with pytest.raises(ValueError, match=rf"^{kind} needs rows of at least 2 values, got n=1$"):
+        _row_medians(np.ones((rows, 1)), kind)
