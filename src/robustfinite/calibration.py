@@ -15,8 +15,10 @@ reuse each other's normals.  Samples are Philox's own ``standard_normal``
 (the ziggurat of Marsaglia & Tsang 2000).  The ziggurat consumes a variable
 number of raw draws per variate, which is harmless here: every block starts
 its own substream, so a block's draw count cannot shift any other block.
-The per-block ``_Moments`` are merged in block order.  Results are
-therefore a pure function of the experiment and its master seed:
+A block returns its per-replication statistics as 1-d arrays, which
+``_run_block`` summarises as ``_Moments`` in the worker (five floats each)
+and ``_run_blocks`` merges in block order.  Results are therefore a pure
+function of the experiment and its master seed:
 bit-identical for any worker count, with workers mapped over blocks by one
 process pool that the process keeps while calls keep coming.
 ``_run_blocks`` also owns the input rules all three share: the seed is an
@@ -37,6 +39,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import reduce
 from multiprocessing.util import Finalize
 from typing import Callable, Hashable, Iterable
 
@@ -118,6 +121,8 @@ class _Moments:
                         float((d2 * d2).sum()))
 
     def merge(self, other: "_Moments") -> "_Moments":
+        # Python floats: numpy's SIMD ``**`` rounds a few percent of doubles
+        # otherwise, so a vectorised merge would move the output streams.
         na, nb = self.count, other.count
         n = na + nb
         d = other.mean - self.mean
@@ -198,7 +203,7 @@ def _block_rng(master_seed: int, domain: int, stream: int,
 
 def _run_block(task) -> list[_Moments]:
     fn, master_seed, domain, stream, b, size, args = task
-    return fn(_block_rng(master_seed, domain, stream, b), size, *args)
+    return [_Moments.of(v) for v in fn(_block_rng(master_seed, domain, stream, b), size, *args)]
 
 
 # The pool kept between calls, as (workers, executor, finalizer), and the
@@ -287,17 +292,18 @@ def _map_blocks(tasks: list, workers: int, chunk: int) -> list:
         return results
 
 
-def _run_blocks(fn: Callable[..., list[_Moments]], domain: int,
+def _run_blocks(fn: Callable[..., list[np.ndarray]], domain: int,
                 cells: dict[Hashable, tuple[int, tuple]], replications: int,
                 master_seed: int, worker_count: int | str | None
                 ) -> dict[Hashable, list[_Moments]]:
     """Run every replication block of every cell and merge each cell's
-    moments in block order.
+    moments, one ``_Moments`` per statistic, in block order.
 
     ``cells`` maps a key to ``(stream, args)``; block b of the cell calls
     ``fn(rng, size, *args)`` with the substream ``(master_seed, domain,
-    stream, b)`` and returns one ``_Moments`` per statistic.  ``fn`` must be
-    a module-level function, so pool workers can unpickle it.
+    stream, b)`` and returns its statistics, a positional list of 1-d arrays
+    that ``_run_block`` summarises in the worker.  ``fn`` must be a
+    module-level function, so pool workers can unpickle it.
 
     A call runs on min(requested, blocks, CPUs) workers.  With one, blocks
     run in this process; with more, they run on the process's pool, which
@@ -327,17 +333,14 @@ def _run_blocks(fn: Callable[..., list[_Moments]], domain: int,
     merged = {}
     for c, key in enumerate(cells):
         blocks = results[c * len(sizes):(c + 1) * len(sizes)]
-        acc = blocks[0]
-        for moments in blocks[1:]:
-            acc = [a.merge(m) for a, m in zip(acc, moments)]
-        merged[key] = acc
+        merged[key] = [reduce(_Moments.merge, statistic) for statistic in zip(*blocks)]
     return merged
 
 
 def _estimator_block(rng: np.random.Generator, size: int, n: int,
-                     estimators: tuple[Estimator, ...]) -> list[_Moments]:
+                     estimators: tuple[Estimator, ...]) -> list[np.ndarray]:
     sample = rng.standard_normal((size, n))
-    return [_Moments.of(_row_estimates(e, sample)) for e in estimators]
+    return [_row_estimates(e, sample) for e in estimators]
 
 
 # ---------------------------------------------------------------------------
@@ -383,34 +386,38 @@ class SimulationResult:
     mc_se_variance: float         # of the variance estimate
 
 
-def _truth(estimator: Estimator) -> float:
-    # Location estimators target 0 at N(0,1); the scale estimators are
-    # simulated in consistent form, so they target sigma = 1.
-    return 0.0 if estimator.is_location else 1.0
+def _simulate_cells(batches: dict[int, tuple[Estimator, ...]], replications: int,
+                    master_seed: int, worker_count: int | str | None
+                    ) -> dict[int, dict[Estimator, SimulationResult]]:
+    """The cell of every estimator of ``batches[n]`` at every n; an n's
+    estimators share their draws, the simulator's stream n."""
+    merged = _run_blocks(_estimator_block, _SIMULATOR_DOMAIN,
+                         {n: (n, (n, batch)) for n, batch in batches.items()},
+                         replications, master_seed, worker_count)
+    cells: dict[int, dict[Estimator, SimulationResult]] = {n: {} for n in batches}
+    for n, batch in batches.items():
+        for e, mom in zip(batch, merged[n]):
+            cells[n][e] = SimulationResult(
+                estimator=e,
+                n=n,
+                replications=mom.count,
+                mean_estimate=mom.mean,
+                # Location estimators target 0 at N(0,1); the scale estimators
+                # are simulated in consistent form, so they target sigma = 1.
+                bias=mom.mean - (0.0 if e.is_location else 1.0),
+                variance_estimate=mom.variance,
+                normalized_variance=normalized_variance(e, n, mom.variance),
+                mc_standard_error=mom.se_mean,
+                mc_se_variance=mom.se_variance,
+            )
+    return cells
 
 
 def simulate(config: SimulationConfig) -> list[SimulationResult]:
     """Run the Monte Carlo experiment described by ``config``."""
-    est = Estimator(config.estimator)
-    merged = _run_blocks(_estimator_block, _SIMULATOR_DOMAIN,
-                         {n: (n, (n, (est,))) for n in config.n_values},
-                         config.replications, config.master_seed,
-                         config.worker_count)
-    out = []
-    for n in config.n_values:
-        mom = merged[n][0]
-        out.append(SimulationResult(
-            estimator=est,
-            n=n,
-            replications=mom.count,
-            mean_estimate=mom.mean,
-            bias=mom.mean - _truth(est),
-            variance_estimate=mom.variance,
-            normalized_variance=normalized_variance(est, n, mom.variance),
-            mc_standard_error=mom.se_mean,
-            mc_se_variance=mom.se_variance,
-        ))
-    return out
+    cells = _simulate_cells({n: (config.estimator,) for n in config.n_values},
+                            config.replications, config.master_seed, config.worker_count)
+    return [cells[n][config.estimator] for n in config.n_values]
 
 
 # ---------------------------------------------------------------------------
@@ -573,34 +580,25 @@ def regenerate_table(table_id: str, n_values: Iterable[int], master_seed: int,
     for n, batch in batches.items():
         for e in batch:
             _validate_estimator_n(e, n)
-    merged = _run_blocks(_estimator_block, _SIMULATOR_DOMAIN,
-                         {n: (n, (n, batch)) for n, batch in batches.items()},
-                         replications, master_seed, worker_count)
+    cells = _simulate_cells(batches, replications, master_seed, worker_count)
 
     rows = []
     for n in n_values:
-        by_est = dict(zip(batches[n], merged[n]))
         row: dict = {"n": n}
         for e in columns:
-            if e not in by_est:
-                row[e.value] = math.nan
-                row[f"{e.value}_se"] = math.nan
-                continue
-            mom = by_est[e]
-            if table_id == "bias":
-                row[e.value] = mom.mean - _truth(e)
-                row[f"{e.value}_se"] = mom.se_mean
+            cell = cells[n].get(e)
+            if cell is None:
+                value = se = math.nan
+            elif table_id == "bias":
+                value, se = cell.bias, cell.mc_standard_error
             elif table_id == "nvar":
-                row[e.value] = normalized_variance(e, n, mom.variance)
-                row[f"{e.value}_se"] = normalized_variance(e, n, mom.se_variance)
+                value, se = cell.normalized_variance, normalized_variance(e, n, cell.mc_se_variance)
             else:
-                base = by_est[Estimator.MEAN if e.is_location else Estimator.STD]
-                row[e.value] = base.variance / mom.variance
+                base = cells[n][Estimator.MEAN if e.is_location else Estimator.STD]
+                value = base.variance_estimate / cell.variance_estimate
                 # first-order SE of the variance ratio
-                rel = math.hypot(
-                    base.se_variance / base.variance,
-                    mom.se_variance / mom.variance,
-                )
-                row[f"{e.value}_se"] = abs(row[e.value]) * rel
+                se = abs(value) * math.hypot(base.mc_se_variance / base.variance_estimate,
+                                             cell.mc_se_variance / cell.variance_estimate)
+            row[e.value], row[f"{e.value}_se"] = value, se
         rows.append(row)
     return rows

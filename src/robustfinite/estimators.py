@@ -681,7 +681,8 @@ def _row_medians(block: np.ndarray, kind: str,
     which the rows selected with the plan teach in one step (``_needed``).
     Pair values past the largest double round to infinities without a
     warning.  ``raw`` holds the unsorted rows when ``block`` is given
-    sorted.
+    sorted.  Rows too short for the kind, of no values or no pair, are a
+    ``ValueError`` that names the kind and n.
     """
     rows, n = block.shape
     if raw is None:
@@ -708,7 +709,10 @@ def _row_medians(block: np.ndarray, kind: str,
         count = plan.index is None and (rows == 1 or m > _BUFFER_PAIRS)
         if plan.index is None and not count:
             plan = plan._replace(index=_pair_index(plan))
-    step = 1 if count else _BUFFER_PAIRS // m or 1
+    try:
+        step = 1 if count else _BUFFER_PAIRS // m or 1
+    except ZeroDivisionError:  # m = n = 0: _pair_plan rejected short pair rows
+        raise ValueError(f"{kind} needs rows of at least 1 value, got n={n}") from None
     # the rows of the whole chunks that teach the first band (see _band)
     learned = -(-_LEARN_ROWS // step) * step
     learn = plan is not None and not count and m >= _BAND_PAIRS and rows >= _BAND_CHUNKS * learned

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from ._facts import Estimator, _check_int, _is_real
 
@@ -69,29 +71,32 @@ _TABLE_ROWS = {
 
 
 @lru_cache(maxsize=None)
-def load_table(name: str) -> dict[int, dict[str, float]]:
+def load_table(name: str) -> Mapping[int, Mapping[str, float]]:
     """Load a packaged data table as {n: {column: value}}; NA becomes NaN.
 
     Validates the expected row set (or strictly increasing n for the
     selected-n tables) so a damaged data file fails loudly at first use.
+    The cache hands every caller the same table, so it and its rows are
+    read-only: an assignment raises ``TypeError`` instead of changing the
+    factors for the rest of the process.
     """
     if name not in _TABLE_ROWS:
         raise ValueError(f"unknown table {name!r}")
     path = resources.files("robustfinite") / "data" / f"{name}.csv"
-    table: dict[int, dict[str, float]] = {}
+    table: dict[int, Mapping[str, float]] = {}
     with path.open() as f:
         for row in csv.DictReader(f):
             n = int(row.pop("n"))
-            table[n] = {
+            table[n] = MappingProxyType({
                 k: (math.nan if v == "NA" else float(v)) for k, v in row.items()
-            }
+            })
     expected = _TABLE_ROWS[name]
     ns = list(table)
     if expected is not None and ns != list(expected):
         raise ValueError(f"table {name} has unexpected n values")
     if expected is None and (ns != sorted(ns) or len(ns) != len(set(ns))):
         raise ValueError(f"table {name} n values not strictly increasing")
-    return table
+    return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None, typed=True)

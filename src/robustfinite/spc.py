@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .calibration import _CONTAMINATION_DOMAIN, _Moments, _run_blocks
+from .calibration import _CONTAMINATION_DOMAIN, _run_blocks
 from ._facts import Estimator, _check_int, _check_real
 from .estimators import _row_estimates
 from .factors import _UNBIASING, c4, c5, c6
@@ -47,9 +47,10 @@ __all__ = [
 # A chart method is named "<scale>-<factor>", its scale one of _UNBIASING.
 CHART_METHODS = ("std-c4", "mad-c5", "shamos-c6")
 
-# raw/unbiased pairs measured by the contamination experiment
-EXPERIMENT_METHODS = ("std", "unbiased-std", "mad", "unbiased-mad",
-                      "shamos", "unbiased-shamos")
+# raw/unbiased pairs measured by the contamination experiment, in the order
+# _estimates_from_scales emits them
+EXPERIMENT_METHODS = tuple(name for estimator in _UNBIASING
+                           for name in (estimator.value, f"unbiased-{estimator.value}"))
 
 
 def a3(n: int) -> float:
@@ -211,9 +212,9 @@ def _three_sigma_estimates(data: np.ndarray) -> dict[str, np.ndarray]:
 
 def _experiment_block(rng: np.random.Generator, size: int, k: int, n: int,
                       mu: float, sigma: float, deltas: tuple[float, ...],
-                      corrupt_count: int) -> list[_Moments]:
-    """Moments of the three-sigma estimates of one block, for every delta
-    and, within it, every method in EXPERIMENT_METHODS.
+                      corrupt_count: int) -> list[np.ndarray]:
+    """The per-replication three-sigma estimates of one block, for every
+    delta and, within it, every method in EXPERIMENT_METHODS.
 
     A shift moves subgroup 1 only, so the clean block's scales are computed
     once and each nonzero delta recomputes column 0 alone."""
@@ -228,7 +229,7 @@ def _experiment_block(rng: np.random.Generator, size: int, k: int, n: int,
             scales = [s.copy() for s in clean]
             for s, column in zip(scales, _subgroup_scales(first)):
                 s[:, :1] = column
-        out += [_Moments.of(est) for est in _estimates_from_scales(n, scales).values()]
+        out += _estimates_from_scales(n, scales).values()
     return out
 
 

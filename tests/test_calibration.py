@@ -28,7 +28,7 @@ from robustfinite.calibration import (
     simulate,
 )
 from robustfinite.estimators import PAIR_LIMIT
-from robustfinite.factors import c5
+from robustfinite.factors import c5, normalized_variance
 
 # analytic oracle, derived before the build: for two normal observations
 # E|X1 - X2| = 2/sqrt(pi), so the consistent MAD of a pair has expectation
@@ -76,7 +76,7 @@ class TestDeterminism:
         def recorder(name, statistics):
             def block(rng, size, *args):
                 first.setdefault(name, rng.random(8))
-                return [calibration._Moments.of(np.zeros(size))] * statistics
+                return [np.zeros(size)] * statistics
             return block
 
         monkeypatch.setattr(calibration, "_estimator_block", recorder("simulate", 1))
@@ -685,6 +685,22 @@ class TestRegenerateTable:
             mad_ref, shamos_ref = _reference_bias(row["n"])
             assert abs(row["mad"] - mad_ref) < 4 * row["mad_se"]
             assert abs(row["shamos"] - shamos_ref) < 4 * row["shamos_se"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_share_simulate_draws(self, workers):
+        # both draw from the simulator's domain 0, stream n: the same seed,
+        # n and replications give the same cells, bit for bit
+        ns, seed, reps = (3, 10), 12, BLOCK_SIZE + 500
+        bias = regenerate_table("bias", ns, seed, reps, workers)
+        nvar = regenerate_table("nvar", ns, seed, reps, workers)
+        for e in ("mad", "shamos", "median", "hl1", "hl2", "hl3"):
+            cells = simulate(SimulationConfig(e, ns, master_seed=seed, replications=reps,
+                                              worker_count=workers))
+            for cell, b, v in zip(cells, bias, nvar):
+                if e in b:
+                    assert (b[e], b[f"{e}_se"]) == (cell.bias, cell.mc_standard_error)
+                assert v[e] == cell.normalized_variance
+                assert v[f"{e}_se"] == normalized_variance(e, cell.n, cell.mc_se_variance)
 
     def test_nvar_smoke(self):
         rows = regenerate_table("nvar", [3], master_seed=5, replications=1000)

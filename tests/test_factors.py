@@ -100,6 +100,16 @@ class TestTables:
     def test_v5_definition_at_2(self):
         assert v5(2) == 1.1000 * (1 - c4(2) ** 2)
 
+    def test_tables_are_read_only(self):
+        # load_table caches one table for every caller: writing to it would
+        # change the factors for the rest of the process
+        table = load_table("bias_table")
+        with pytest.raises(TypeError):
+            table[5]["mad_bias"] = 0.5
+        with pytest.raises(TypeError):
+            table[5] = {"mad_bias": 0.5}
+        assert c5(5) == 0.821875
+
     def test_load_table_unknown(self):
         with pytest.raises(ValueError):
             load_table("no_such_table")

@@ -903,3 +903,11 @@ def test_pairless_rows_are_a_named_error(kind, rows):
     """A row of one value has no pair i < j: the error names the kind and n."""
     with pytest.raises(ValueError, match=rf"^{kind} needs rows of at least 2 values, got n=1$"):
         _row_medians(np.ones((rows, 1)), kind)
+
+
+@pytest.mark.parametrize("kind", ["median", "mad"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_empty_rows_are_a_named_error(kind, rows):
+    """A row of no values has no median: the error names the kind and n."""
+    with pytest.raises(ValueError, match=rf"^{kind} needs rows of at least 1 value, got n=0$"):
+        _row_medians(np.ones((rows, 0)), kind)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robustfinite import spc
-from robustfinite.calibration import BLOCK_SIZE, _block_rng, _Moments
+from robustfinite.calibration import BLOCK_SIZE, _block_rng
 from robustfinite.estimators import mad as scalar_mad
 from robustfinite.estimators import mean as scalar_mean
 from robustfinite.estimators import shamos as scalar_shamos
@@ -235,20 +235,27 @@ class TestContaminationExperiment:
         (1, 2, 1, 300), (1, 2, 2, 257), (4, 7, 0, 1000), (3, 5, 5, 999),
         (10, 5, 1, BLOCK_SIZE)])
     def test_block_matches_full_recompute(self, k, n, corrupt_count, size):
-        # each delta's moments equal those of the six estimates computed from
+        # each delta's estimates equal the six estimates computed from
         # scratch on a fully corrupted copy of the block's draws
         mu, sigma, seed = 5.0, 1.5, 11
         deltas = (0.0, -4.5, -0.0, 20.0, 20.0, 0.25)
-        moments = _experiment_block(_block_rng(seed, 1, k * n, 0), size, k, n,
-                                    mu, sigma, deltas, corrupt_count)
+        estimates = _experiment_block(_block_rng(seed, 1, k * n, 0), size, k, n,
+                                      mu, sigma, deltas, corrupt_count)
         base = mu + sigma * _block_rng(seed, 1, k * n, 0).standard_normal((size, k, n))
         m = len(EXPERIMENT_METHODS)
-        assert len(moments) == m * len(deltas)
+        assert len(estimates) == m * len(deltas)
         for i, d in enumerate(deltas):
             data = base.copy()
             data[:, 0, :corrupt_count] += d
-            expected = [_Moments.of(e) for e in _three_sigma_estimates(data).values()]
-            assert moments[i * m:(i + 1) * m] == expected
+            expected = list(_three_sigma_estimates(data).values())
+            assert all(np.array_equal(got, want) for got, want
+                       in zip(estimates[i * m:(i + 1) * m], expected, strict=True))
+
+    def test_methods_in_the_order_the_estimates_come(self):
+        x = _block_rng(3, 1, 10, 0).standard_normal((50, 2, 5))
+        assert list(_three_sigma_estimates(x)) == list(EXPERIMENT_METHODS)
+        assert EXPERIMENT_METHODS == ("std", "unbiased-std", "mad", "unbiased-mad",
+                                      "shamos", "unbiased-shamos")
 
     def test_block_recomputes_only_the_corrupted_subgroup(self, monkeypatch):
         original = spc._row_estimates
