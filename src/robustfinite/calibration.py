@@ -102,7 +102,8 @@ class _Moments:
 
     ``merge`` combines two summaries with the pairwise update formulas of
     Pebay 2008 (SAND2008-6212), so no sum of squares is ever differenced.
-    Each summarises one value or more: every block holds a replication.
+    Each summarises one value or more: every block holds a replication, and
+    a summary whose variance is read merges at least ``_MIN_REPLICATIONS``.
     """
 
     count: int
@@ -139,7 +140,7 @@ class _Moments:
 
     @property
     def variance(self) -> float:
-        return self.m2 / (self.count - 1) if self.count > 1 else math.nan
+        return self.m2 / (self.count - 1)
 
     @property
     def se_mean(self) -> float:
@@ -148,8 +149,6 @@ class _Moments:
     @property
     def se_variance(self) -> float:
         """Large-sample standard error of the variance estimate."""
-        if self.count < 2:
-            return math.nan
         m2 = self.m2 / self.count
         m4 = self.m4 / self.count
         return math.sqrt(max(m4 - m2 * m2, 0.0) / self.count)

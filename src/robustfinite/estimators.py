@@ -63,7 +63,10 @@ odd-even merge network (Batcher 1968) over whole columns of a column-major
 buffer, one ``np.minimum``/``np.maximum`` pair per comparator for all rows
 at once; other block rows are sorted up to 256 values and partitioned
 beyond.  A pair value, a MAD deviation or a scale times its consistency
-constant past the largest double rounds to an infinity without a warning.
+constant past the largest double rounds to an infinity without a warning:
+a block runs under one ``np.errstate(over="ignore")``, and a single row,
+as from the scalar API, goes quiet only when the two ends of its sorted
+row or its MAD centre say that a value may pass the largest double.
 
 The mean and the standard deviation have two kernels: ``math.fsum`` for one
 sample in the scalar API, and numpy's row reductions for a block, which the
@@ -79,7 +82,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ._facts import NORMAL_Q3, Estimator, _check_flag, _check_int, _multiset_size  # noqa: F401
+from ._facts import Estimator, _check_flag, _check_int, _multiset_size
 
 __all__ = [
     "Estimator",
@@ -163,15 +166,17 @@ _GATHER = 4096
 _PAIR_KINDS = ("shamos", "hl1", "hl2", "hl3")
 
 # Below _SAFE_PAIRS in magnitude no pair value, nor one plus or minus an
-# observation (_count_below), passes the largest double.  The Euclidean norm
-# of a sample bounds every |x_i|; below _SAFE_SQUARES no deviation from the
-# mean, its square or the sum of the squares does.
+# observation (_count_below), passes the largest double, so a single row
+# whose sorted ends stay below it runs without np.errstate.  The Euclidean
+# norm of a sample bounds every |x_i|; below _SAFE_SQUARES no deviation from
+# the mean, its square or the sum of the squares does.
 _SAFE_PAIRS = 2.0 ** 1022
 _SAFE_SQUARES = 2.0 ** 510
 
 # x - median rounds past the largest double only when the exact difference
 # reaches it plus half its ulp, 2**970; |x| is at most the largest double,
-# so only when |median| reaches 2**970.
+# so only when |median| reaches 2**970: a single MAD row whose centre stays
+# below it subtracts without np.errstate.
 _SAFE_CENTRE = 2.0 ** 970
 
 # The mean of n copies of v, a sum divided by n, need not be v, so the
@@ -679,9 +684,12 @@ def _row_medians(block: np.ndarray, kind: str,
     which has ``_BAND_CHUNKS`` times the rows of the chunks that hold
     ``_LEARN_ROWS`` rows selects its later chunks in a band (``_band``),
     which the rows selected with the plan teach in one step (``_needed``).
-    Pair values past the largest double round to infinities without a
-    warning.  ``raw`` holds the unsorted rows when ``block`` is given
-    sorted.  Rows too short for the kind, of no values or no pair, are a
+    Values past the largest double round to infinities without a warning:
+    a call of more than one row re-enters itself under one
+    ``np.errstate(over="ignore")``, and a single row goes quiet only when
+    the two ends of its sorted row reach ``_SAFE_PAIRS`` or, for "mad", its
+    centre reaches ``_SAFE_CENTRE``.  ``raw`` holds the unsorted rows when
+    ``block`` is given sorted.  Rows too short for the kind, of no values or no pair, are a
     ``ValueError`` that names the kind and n.
     """
     rows, n = block.shape
@@ -689,13 +697,10 @@ def _row_medians(block: np.ndarray, kind: str,
         raw = block
         if kind in _PAIR_KINDS:
             block = np.sort(block, axis=1)
-            if rows == 1:
-                low, high = block.item(0, 0), block.item(0, n - 1)
-            else:
-                low, high = block[:, 0].min(), block[:, -1].max()
-            if max(-low, high) >= _SAFE_PAIRS:
-                with np.errstate(over="ignore"):
-                    return _row_medians(block, kind, raw)
+        if rows > 1 or (kind in _PAIR_KINDS and n > 0
+                        and max(-block.item(0, 0), block.item(0, n - 1)) >= _SAFE_PAIRS):
+            with np.errstate(over="ignore"):
+                return _row_medians(block, kind, raw)
     hl = kind in ("hl1", "hl2", "hl3")
     # Halving is monotone, so the Hodges-Lehmann sums are selected and only
     # the two middle ones halved: the same doubles as halving every pair.
@@ -735,8 +740,10 @@ def _row_medians(block: np.ndarray, kind: str,
         if count:
             lo, hi = _count_middle(part[0], plan)
         else:
-            pairs = (buf[:len(part)] if sel is plan
-                     else flat[:len(part) * sel.size].reshape(len(part), -1))
+            # a part that fills the buffer, as a single row does, takes it
+            # whole: a slice of it would cost a view per call
+            pairs = (flat[:len(part) * sel.size].reshape(len(part), -1) if sel is not plan
+                     else buf if len(part) == len(buf) else buf[:len(part)])
             _fill_pairs(part, sel, pairs)
             lo, hi = _select_middles(pairs, ranks if sel is plan else sel.ranks)
         if rows > 1 and len(part) == 1:
@@ -755,16 +762,12 @@ def _row_medians(block: np.ndarray, kind: str,
             # network leaves in the buffer only the values it reads.  None
             # is -0.0 after abs, so the sign of a zero median does not
             # matter.  Only a median of _SAFE_CENTRE or more lets one pass
-            # the largest double; it then rounds to an infinity.
+            # the largest double; it then rounds to an infinity without a
+            # warning, as a block runs quiet and a single row checks.
             _midpoint(lo, hi, 1.0, medians)
-            if len(chunk) == 1:
-                centre = medians.item(0)
-                far = abs(centre)
-            else:
-                centre = medians[:, None]
-                far = np.maximum.reduce(np.abs(medians))
-            pairs = buf[:len(chunk)]
-            if far < _SAFE_CENTRE:
+            centre = medians.item(0) if len(chunk) == 1 else medians[:, None]
+            pairs = buf if len(chunk) == len(buf) else buf[:len(chunk)]
+            if rows > 1 or abs(centre) < _SAFE_CENTRE:
                 np.subtract(chunk, centre, out=pairs)
             else:
                 with np.errstate(over="ignore"):
@@ -818,7 +821,9 @@ def _midpoint(lo, hi, half: float, out: np.ndarray):
     there is one middle rank.  ``lo + hi`` overflows only when both exceed
     half the largest double, and then ``0.5 * lo + 0.5 * hi`` is the same
     correctly rounded midpoint; the median stays infinite only when a
-    middle value is."""
+    middle value is.  A row's floats never warn, and a block's arrays come
+    from inside ``_row_medians``' quiet block, so their sums round to an
+    infinity without a warning there."""
     if isinstance(hi, float):
         lo, hi = half * lo, half * hi
         mid = hi if lo == hi else 0.5 * (lo + hi)
@@ -830,8 +835,7 @@ def _midpoint(lo, hi, half: float, out: np.ndarray):
     one = lo is hi
     hi = half * hi
     lo = hi if one else half * lo
-    with np.errstate(over="ignore"):
-        out[:] = hi if one else 0.5 * (lo + hi)
+    out[:] = hi if one else 0.5 * (lo + hi)
     over = np.isinf(out)
     infinite = ()
     if np.count_nonzero(over):
@@ -938,21 +942,18 @@ def _row_estimates(estimator: Estimator, rows: np.ndarray, consistent: bool = Tr
     ``consistent`` is false.  The order-statistic estimators are the
     ``_row_medians`` of their kind; the mean and the standard deviation sum
     one sample exactly and a block by numpy's row reductions, but a block
-    row whose sum or variance passes the largest double is summed exactly."""
+    row whose sum or variance passes the largest double is summed exactly.
+    A scale times its consistency constant past the largest double rounds
+    to an infinity without a warning: one sample's as a Python float, a
+    block's in one quiet step."""
     kind = estimator._kind
     if kind is not None:
         c = estimator._consistency if consistent else 1.0
         if rows.ndim == 1:
             # a Python float rounds past the largest double without a warning
             return _row_medians(rows[None, :], kind).item() * c
-        raw = _row_medians(rows, kind)
-        if c == 1.0:
-            return raw
-        if float(raw.max(initial=0.0)) * c < math.inf:
-            return raw * c
-        # a scale times c past the largest double rounds to an infinity
         with np.errstate(over="ignore"):
-            return raw * c
+            return _row_medians(rows, kind) * c
     if rows.ndim == 1:
         return _fsum_mean(rows, rows.size) if estimator.is_location else _sample_sd(rows)
     with np.errstate(over="ignore", invalid="ignore"):

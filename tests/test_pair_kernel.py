@@ -911,3 +911,11 @@ def test_empty_rows_are_a_named_error(kind, rows):
     """A row of no values has no median: the error names the kind and n."""
     with pytest.raises(ValueError, match=rf"^{kind} needs rows of at least 1 value, got n=0$"):
         _row_medians(np.ones((rows, 0)), kind)
+
+
+@pytest.mark.parametrize("kind", ["shamos", "hl1", "hl2", "hl3"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_empty_pair_rows_are_a_named_error(kind, rows):
+    """A row of no values has no pair, in a single row as in a block."""
+    with pytest.raises(ValueError, match=rf"^{kind} needs rows of at least [12] values?, got n=0$"):
+        _row_medians(np.ones((rows, 0)), kind)
