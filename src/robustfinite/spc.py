@@ -218,7 +218,9 @@ def _experiment_block(rng: np.random.Generator, size: int, k: int, n: int,
 
     A shift moves subgroup 1 only, so the clean block's scales are computed
     once and each nonzero delta recomputes column 0 alone."""
-    base = mu + sigma * rng.standard_normal((size, k, n))
+    base = rng.standard_normal((size, k, n))
+    base *= sigma
+    base += mu
     clean = _subgroup_scales(base)
     out = []
     for d in deltas:
