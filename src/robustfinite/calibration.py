@@ -6,13 +6,16 @@ Reproducibility contract
 ------------------------
 One block runner, ``_run_blocks``, serves ``simulate``, ``regenerate_table``
 and ``spc.contamination_experiment``.  Replications are split into
-fixed-size blocks; block b of a cell draws from its own counter-based
-(Philox) substream, ``SeedSequence(master_seed, spawn_key=(domain, stream,
-b))``.  The domain tags the experiment: 0 for the estimator simulator (so
+fixed-size blocks; block b of a cell draws from its own SFC64 substream,
+seeded by ``SeedSequence(master_seed, spawn_key=(domain, stream, b))``.
+The domain tags the experiment: 0 for the estimator simulator (so
 ``simulate`` and ``regenerate_table`` share their draws, with stream n) and
 1 for the contamination experiment (stream k*n), so no two experiments
-reuse each other's normals.  Samples are Philox's own ``standard_normal``
-(the ziggurat of Marsaglia & Tsang 2000).  The ziggurat consumes a variable
+reuse each other's normals.  Distinct substreams never overlap: SFC64
+carries a 64-bit counter, so two seeds cannot run into each other for at
+least 2**64 draws (numpy's SFC64 notes), and a block draws a few million at
+most.  Samples are the generator's own ``standard_normal`` (the ziggurat of
+Marsaglia & Tsang 2000).  The ziggurat consumes a variable
 number of raw draws per variate, which is harmless here: every block starts
 its own substream, so a block's draw count cannot shift any other block.
 A block returns its per-replication statistics as 1-d arrays, which
@@ -194,10 +197,16 @@ _SIMULATOR_DOMAIN = 0
 _CONTAMINATION_DOMAIN = 1
 
 
+# The bit generator of every substream, and the provenance that seeded CLI
+# outputs print in their header.
+_BIT_GENERATOR = np.random.SFC64
+_DRAWN_WITH = f"{_BIT_GENERATOR.__name__} numpy {np.__version__}"
+
+
 def _block_rng(master_seed: int, domain: int, stream: int,
                block_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(master_seed, spawn_key=(domain, stream, block_index))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(_BIT_GENERATOR(ss))
 
 
 def _run_block(task) -> list[_Moments]:

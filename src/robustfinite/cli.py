@@ -3,7 +3,8 @@
 Subcommands: estimate, breakdown, factors, simulate, fit, spc-demo.  Every
 run writes CSV (to --out or stdout) preceded by a ``#`` metadata line with
 the package version and the full flag set, so any output can be reproduced
-from its header.  Randomized subcommands require an explicit --seed.
+from its header; ``simulate`` and ``spc-demo`` also name the bit generator
+and the numpy version their normals come from.  Randomized subcommands require an explicit --seed.
 
 Exit codes: 0 success, 1 data error (message names the offending input),
 2 usage error.
@@ -65,8 +66,9 @@ def _read_observations(path: str) -> list[float]:
     return values
 
 
-def _emit(args, header: list[str], rows: list[list[str]]) -> None:
-    meta = f"# robustfinite {__version__} | {args.command} " + " ".join(args.raw_flags)
+def _emit(args, header: list[str], rows: list[list[str]], *provenance: str) -> None:
+    meta = " | ".join([f"# robustfinite {__version__}",
+                       f"{args.command} " + " ".join(args.raw_flags), *provenance])
     lines = [meta, ",".join(header)]
     lines += [",".join(r) for r in rows]
     text = "\n".join(lines) + "\n"
@@ -126,7 +128,7 @@ def _cmd_simulate(args) -> None:
              f"{r.mc_standard_error:.17g}", str(r.replications), str(args.seed)]
             for r in results]
     _emit(args, ["n", "estimate", "bias", "variance", "normalized",
-                 "mc_se", "reps", "seed"], rows)
+                 "mc_se", "reps", "seed"], rows, calibration._DRAWN_WITH)
 
 
 def _read_fit_points(path: str, column: str) -> list[tuple[float, float]]:
@@ -180,7 +182,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _cmd_spc_demo(args) -> None:
-    from . import spc
+    from . import calibration, spc
 
     rows = spc.contamination_experiment(
         k=args.k, n=args.n, mu=args.mu, sigma=args.sigma,
@@ -192,7 +194,8 @@ def _cmd_spc_demo(args) -> None:
     out = [[f"{r['delta']:g}", r["method"], f"{r['bias']:.5f}",
             f"{r['variance']:.5f}", f"{r['mse']:.5f}", str(r["reps"])]
            for r in rows]
-    _emit(args, ["delta", "method", "bias", "variance", "mse", "reps"], out)
+    _emit(args, ["delta", "method", "bias", "variance", "mse", "reps"], out,
+          calibration._DRAWN_WITH)
 
 
 class _Usage(Exception):

@@ -333,7 +333,8 @@ def _pair_plan(n: int, kind: str) -> _PairPlan:
     """
     first = 1 if kind in ("shamos", "hl1") else 0
     if n <= first:
-        raise ValueError(f"{kind} needs rows of at least {first + 1} values, got n={n}")
+        raise ValueError(f"{kind} needs rows of at least {first + 1} value"
+                         f"{'s' if first else ''}, got n={n}")
     m = _multiset_size(kind, n)
     lo_rank, hi_rank = (m - 1) // 2, m // 2
     i = np.arange(n)

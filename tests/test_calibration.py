@@ -67,6 +67,19 @@ class TestDeterminism:
         b = _block_rng(1, 0, 5, 1).standard_normal((4, 5))
         assert not np.allclose(a, b)
 
+    def test_block_substream_key_layout(self):
+        """Block b of a stream draws SFC64 normals seeded by
+        SeedSequence(seed, spawn_key=(domain, stream, b)); a change of
+        generator or key moves every seeded output and must be on purpose."""
+        for domain in (0, 1):
+            for b in (0, 3):
+                key = np.random.SeedSequence(11, spawn_key=(domain, 5, b))
+                want = np.random.Generator(np.random.SFC64(key)).standard_normal(64)
+                got = _block_rng(11, domain, 5, b).standard_normal(64)
+                assert np.array_equal(got, want), (
+                    f"_block_rng(11, {domain}, 5, {b}) no longer draws from "
+                    f"SFC64(SeedSequence(11, spawn_key=({domain}, 5, {b})))")
+
     def test_experiments_draw_from_separate_domains(self, monkeypatch):
         # simulate at n = 50 and the contamination experiment at k*n = 10*5
         # share the seed and the stream number; their first blocks must not

@@ -224,6 +224,22 @@ class TestSimulateAndFit:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_seeded_headers_name_the_generator(self, capsys):
+        """simulate and spc-demo name the bit generator and the numpy version
+        of their normals after the flags; factors draws nothing."""
+        import numpy as np
+
+        from robustfinite import __version__, calibration
+        drawn = f" | {calibration._BIT_GENERATOR.__name__} numpy {np.__version__}"
+        for argv in (("simulate", "--estimator", "mean", "--n", "3", "--reps", "300",
+                      "--seed", "1", "--workers", "1"),
+                     ("spc-demo", "--reps", "300", "--seed", "1", "--workers", "1")):
+            _, out, _ = run_cli(capsys, *argv)
+            assert out.splitlines()[0] == \
+                f"# robustfinite {__version__} | " + " ".join(argv) + drawn
+        _, out, _ = run_cli(capsys, "factors", "--n", "5")
+        assert out.splitlines()[0] == f"# robustfinite {__version__} | factors --n 5"
+
     def test_fit_williams_target_b(self, capsys, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("n,estimate,bias,variance,normalized,mc_se,reps,seed\n"

@@ -13,8 +13,10 @@ output by one bit fails here.
 - The stream digest is the SHA-256 of the CSV bodies of ``simulate`` (eight
   estimators), of ``regenerate_table`` bias, nvar and re, and of
   ``spc-demo``, at one seed, the same on one worker and on two.  It also
-  depends on numpy's Philox ``standard_normal``, which NEP 19 does not
-  promise to keep across numpy releases.
+  depends on numpy's SFC64 ``standard_normal``, which NEP 19 does not
+  promise to keep across numpy releases.  Each block draws from its own
+  SFC64 substream; SFC64's 64-bit counter keeps distinct seeds from running
+  into each other for at least 2**64 draws, so no two blocks overlap.
 
 A change that moves a digest on purpose updates its literal and says in
 CHANGES.md which outputs moved and why.
@@ -29,7 +31,7 @@ from robustfinite.cli import main
 from robustfinite.estimators import Estimator, _row_estimates, _row_medians
 
 KERNEL_DIGEST = "cbc612c9c3490d3bc3f9c24cda7e8765845192c8ba918205d8680a8e24f135d2"
-STREAM_DIGEST = "20121755e893f33428f891141a6f977d42f488732142eff11469d3a68c498e45"
+STREAM_DIGEST = "b8b5357ea28887d5bcfb7cab24bb90fa177acec7a5db76e0544ab7ee14ad10c8"
 
 MIN_N = {"median": 1, "mad": 2, "shamos": 2, "hl1": 2, "hl2": 1, "hl3": 1}
 FAMILIES = ("plain", "ties", "huge", "near_max", "zeros", "cauchy")
@@ -176,7 +178,8 @@ def test_stream_digest(tmp_path):
     got = _digest(one)
     assert got == STREAM_DIGEST, (
         f"stream digest {got} under numpy {np.__version__}: the seeded Monte "
-        "Carlo outputs moved.  They rest on numpy's Philox standard_normal, "
+        "Carlo outputs moved.  They rest on numpy's "
+        f"{calibration._BIT_GENERATOR.__name__} standard_normal, "
         "which NEP 19 does not promise to keep across numpy releases; if "
         "only numpy changed, compare against the same numpy first.")
 
