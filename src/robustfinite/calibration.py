@@ -15,9 +15,9 @@ reuse each other's normals.  Distinct substreams never overlap: SFC64
 carries a 64-bit counter, so two seeds cannot run into each other for at
 least 2**64 draws (numpy's SFC64 notes), and a block draws a few million at
 most.  Samples are the generator's own ``standard_normal`` (the ziggurat of
-Marsaglia & Tsang 2000).  The ziggurat consumes a variable
-number of raw draws per variate, which is harmless here: every block starts
-its own substream, so a block's draw count cannot shift any other block.
+Marsaglia & Tsang 2000).  The ziggurat consumes a variable number of raw
+draws per variate, which is harmless here: every block starts its own
+substream, so a block's draw count cannot shift any other block.
 A block returns its per-replication statistics as 1-d arrays, which
 ``_run_block`` summarises as ``_Moments`` in the worker (five floats each)
 and ``_run_blocks`` merges in block order.  Results are therefore a pure

@@ -4,7 +4,8 @@ Subcommands: estimate, breakdown, factors, simulate, fit, spc-demo.  Every
 run writes CSV (to --out or stdout) preceded by a ``#`` metadata line with
 the package version and the full flag set, so any output can be reproduced
 from its header; ``simulate`` and ``spc-demo`` also name the bit generator
-and the numpy version their normals come from.  Randomized subcommands require an explicit --seed.
+and the numpy version their normals come from.  Randomized subcommands
+require an explicit --seed.
 
 Exit codes: 0 success, 1 data error (message names the offending input),
 2 usage error.

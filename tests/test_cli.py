@@ -5,9 +5,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from robustfinite import estimators, factors
+from robustfinite import __version__, calibration, estimators, factors
 from robustfinite.cli import build_parser, main
 
 
@@ -227,9 +228,6 @@ class TestSimulateAndFit:
     def test_seeded_headers_name_the_generator(self, capsys):
         """simulate and spc-demo name the bit generator and the numpy version
         of their normals after the flags; factors draws nothing."""
-        import numpy as np
-
-        from robustfinite import __version__, calibration
         drawn = f" | {calibration._BIT_GENERATOR.__name__} numpy {np.__version__}"
         for argv in (("simulate", "--estimator", "mean", "--n", "3", "--reps", "300",
                       "--seed", "1", "--workers", "1"),
