@@ -68,8 +68,9 @@ def _floor_half_odd_minus_sqrt(a: int, f4: int) -> int:
 
 
 def breakdown_median(n: int) -> BreakdownResult:
-    """Median breakdown: k* = floor((n-1)/2).  Also applies to the MAD,
-    which inherits the median's resistance."""
+    """Median breakdown: k* = floor((n-1)/2), the paper's MAD column too,
+    which counts explosion only: the MAD implodes one replacement earlier
+    at every odd n, ``mad([1, 1, 4])`` and ``mad([1, 1, 1, 4, 9])`` are 0.0."""
     n = _check_int("n", n, 1)
     return BreakdownResult(n, Estimator.MEDIAN, (n - 1) // 2)
 

@@ -74,8 +74,11 @@ def _emit(args, header: list[str], rows: list[list[str]], *provenance: str) -> N
     lines += [",".join(r) for r in rows]
     text = "\n".join(lines) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {args.out}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 

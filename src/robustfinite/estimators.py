@@ -27,18 +27,21 @@ share one median kernel, ``_row_medians``, over the rows of a 2-d array:
 the scalar functions are 1-row calls of it, and the simulator and the
 control charts call it on blocks.  It selects in one reused buffer of about
 2 MB per chunk of rows: O(n) memory per row for the median and the MAD,
-O(n^2) for the pairwise estimators.  Those sort each row and form only the
-pairs whose rank bounds leave them within reach of the two middle ranks, as
-X + Y selection (Johnson and Mizoguchi 1978) and the fast Qn and Sn (Croux
-and Rousseeuw 1992) do: about 45% of the values of the Hodges-Lehmann
-variants (for hl3, of its n^2 ordered pairs) and 90% of those of shamos.
-The plan, a band and each counting round select in one window of pairs
-(i, j) for each i, ``starts[i] <= j < stops[i]``, which holds the diagonal
-pair (i, i) exactly when it starts at i (``_PairPlan``).  A long pairwise
-row is not filled when it is the call's only row, as in the scalar API
-from n of about 270 (hl3, shamos) or 380 (hl1, hl2) on, or too long to
-share the buffer: ``_count_middle`` selects its two middle values by
-counting in its sorted pair matrix, in O(n log n) time and O(n) memory.
+O(n^2) for the pairwise estimators.  Those sort a chunk's rows into a new
+array as they fill it, never the caller's rows, so a call's working memory
+is the buffer whatever the block's size: a traced peak of 2.4-2.7 MB for
+4096 rows at n = 100 or 200, whose samples take 3.1 or 6.3 MB.  They form
+only the pairs whose rank bounds leave them within reach of the two middle
+ranks, as X + Y selection (Johnson and Mizoguchi 1978) and the fast Qn and
+Sn (Croux and Rousseeuw 1992) do: about 45% of the values of the
+Hodges-Lehmann variants (for hl3, of its n^2 ordered pairs) and 90% of
+those of shamos.  The plan, a band and each counting round select in one
+window of pairs (i, j) for each i, ``starts[i] <= j < stops[i]``, which
+holds the diagonal pair (i, i) exactly when it starts at i (``_PairPlan``).
+A long pairwise row is not filled when it is the call's only row, as in the
+scalar API from n of about 270 (hl3, shamos) or 380 (hl1, hl2) on, or too
+long to share the buffer: ``_count_middle`` selects its two middle values
+by counting in its sorted pair matrix, in O(n log n) time and O(n) memory.
 Blocks of shorter rows, as in the simulator and the control charts, keep
 the buffer.  A block whose plan keeps 1200 pairs or more per row, as in
 the simulator from n = 53 (hl3, shamos), 73 (hl2) or 74 (hl1) on, and
@@ -56,14 +59,11 @@ and widens the band.  One select step counts in a row or fills the buffer
 with the plan's or the band's pairs and selects at their ranks, for each
 chunk, each row that misses the band and each row whose middle sums
 overflow, selected again with its values halved.  ``_select_middles``
-picks how a chunk's rows are selected by the row count and the row length
-m only: a single row is sorted up to 700 values and partitioned beyond; in
-blocks of 1024 rows or more, rows of up to 9 values go through a pruned
-odd-even merge network (Batcher 1968) over whole columns of a column-major
-buffer, one ``np.minimum``/``np.maximum`` pair per comparator for all rows
-at once; other block rows are sorted up to 256 values and partitioned
-beyond.  A pair value, a MAD deviation or a scale times its consistency
-constant past the largest double rounds to an infinity without a warning:
+picks how a chunk's rows are selected, by the row count and the row length
+m only: by a sort, a partition or, in blocks of 1024 rows or more of up to
+9 values, a sorting network (Batcher 1968) over whole columns.  A pair
+value, a MAD deviation or a scale times its consistency constant past the
+largest double rounds to an infinity without a warning:
 a block runs under one ``np.errstate(over="ignore")``, and a single row,
 as from the scalar API, goes quiet only when the two ends of its sorted
 row or its MAD centre say that a value may pass the largest double.
@@ -668,40 +668,34 @@ def _negatives(row: np.ndarray, kind: str) -> int:
     return distinct + negative + z if kind == "hl2" else distinct
 
 
-def _row_medians(block: np.ndarray, kind: str,
-                 raw: np.ndarray | None = None) -> np.ndarray:
+def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
     """Median of the values of each row of a (rows, n) float array: the row
     itself for "median", ``|x_i - median|`` for "mad" and ``|x_i - x_j|``
     for "shamos" (both unscaled), ``0.5 * (x_i + x_j)`` for "hl1", "hl2"
     and "hl3"; the midpoint median of ``_midpoint``, -0.0 before +0.0.
-    Each chunk of rows goes through one select step, as do the rows that
-    miss a band and those whose middle sums overflow, with halved values;
-    it gives the middle values as floats for the call's only row, else as
-    arrays.  It counts in a sorted row whose plan caches no index
-    (``_count_middle``) when that is the only row or too long to share the
-    buffer; else the values of the rows, of the plan's pairs of the sorted
-    rows or of a band's fill one reused buffer and are selected at their
-    ranks.  A block whose plan keeps ``_BAND_PAIRS`` pairs or more and
-    which has ``_BAND_CHUNKS`` times the rows of the chunks that hold
-    ``_LEARN_ROWS`` rows selects its later chunks in a band (``_band``),
-    which the rows selected with the plan teach in one step (``_needed``).
-    Values past the largest double round to infinities without a warning:
-    a call of more than one row re-enters itself under one
-    ``np.errstate(over="ignore")``, and a single row goes quiet only when
-    the two ends of its sorted row reach ``_SAFE_PAIRS`` or, for "mad", its
-    centre reaches ``_SAFE_CENTRE``.  ``raw`` holds the unsorted rows when
-    ``block`` is given sorted.  Rows too short for the kind, of no values or no pair, are a
-    ``ValueError`` that names the kind and n.
+    ``block`` is never written: a single pairwise row is sorted up front,
+    a block's pairwise rows one chunk at a time into a new array, so the
+    call's working memory is the buffer.  Each chunk, each row that misses
+    a band (``_band``, ``_needed``) and each row whose middle sums
+    overflow, with halved values, goes through one select step: counted in
+    (``_count_middle``) when the plan caches no index and the row is the
+    call's only one or too long to share the buffer, else filled into the
+    buffer and selected at its ranks.  Values past the largest double round
+    to infinities without a warning: a call of more than one row runs under
+    one ``np.errstate(over="ignore")``, and a single row only when the ends
+    of its sorted row reach ``_SAFE_PAIRS`` or, for "mad", its centre
+    reaches ``_SAFE_CENTRE``.  Rows too short for the kind, of no values or
+    no pair, are a ``ValueError`` that names the kind and n.
     """
     rows, n = block.shape
-    if raw is None:
-        raw = block
-        if kind in _PAIR_KINDS:
-            block = np.sort(block, axis=1)
-        if rows > 1 or (kind in _PAIR_KINDS and n > 0
-                        and max(-block.item(0, 0), block.item(0, n - 1)) >= _SAFE_PAIRS):
-            with np.errstate(over="ignore"):
-                return _row_medians(block, kind, raw)
+    unsorted = block  # the zero rule's signs: numpy's sort may swap -0.0 and +0.0
+    quiet = rows > 1
+    if rows == 1 and kind in _PAIR_KINDS:
+        block = np.sort(block, axis=1)
+        quiet = n > 0 and max(-block.item(0, 0), block.item(0, n - 1)) >= _SAFE_PAIRS
+    if quiet and np.geterr()["over"] != "ignore":
+        with np.errstate(over="ignore"):
+            return _row_medians(unsorted, kind)
     hl = kind in ("hl1", "hl2", "hl3")
     # Halving is monotone, so the Hodges-Lehmann sums are selected and only
     # the two middle ones halved: the same doubles as halving every pair.
@@ -756,6 +750,8 @@ def _row_medians(block: np.ndarray, kind: str,
     start = 0
     while start < rows:
         chunk = block[start:start + (step if sel is plan else _BUFFER_PAIRS // sel.size)]
+        if rows > 1 and plan is not None:
+            chunk = np.sort(chunk, axis=1)
         medians = out[start:start + len(chunk)]
         lo, hi = select(chunk, sel)
         if kind == "mad":
@@ -807,7 +803,7 @@ def _row_medians(block: np.ndarray, kind: str,
             # counting the negative values of the unsorted row.  A halved
             # sum is negative or -0.0 exactly when the sum is.
             for r in zeros:
-                medians[r] = -0.0 if middle < _negatives(raw[start + r], kind) else 0.0
+                medians[r] = -0.0 if middle < _negatives(unsorted[start + r], kind) else 0.0
         start += len(chunk)
     # |x_i - x_j| is never -0.0, but +0.0 - -0.0 of sorted values can be
     return np.abs(out, out=out) if kind == "shamos" else out

@@ -138,6 +138,13 @@ class TestFactors:
         code, _, err = run_cli(capsys, "factors", "--n", "1")
         assert code == 1
 
+    def test_unwritable_out_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "factors", "--n", "5", "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
 
 class TestSimulateAndFit:
     def test_round_trip(self, capsys, tmp_path):

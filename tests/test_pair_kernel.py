@@ -866,6 +866,46 @@ def test_band_learned_over_chunks_of_few_rows(kind, per_chunk, bands, monkeypatc
         assert got[r].hex() == sorted_reference(block[r], kind).hex(), (kind, r)
 
 
+@pytest.mark.parametrize("estimator", list(est.Estimator))
+def test_no_kernel_writes_into_its_input(estimator, networks, bands, counted):
+    """``_row_estimates`` of one row and of blocks that select with the
+    plan, in a band, through the sorting network and by counting: each
+    input comes back bit for bit, signed zeros too.  The control charts and
+    the contamination experiment read their samples again after scoring
+    them, so a kernel that sorted its rows in place would change results."""
+    kind = estimator._kind
+    pairwise = kind in PAIRWISE
+    small = next(n for n in range(2, 20)
+                 if kind is None or 1 < values_per_row(kind, n) <= est._NETWORK_ROW)
+    long = 800 if kind in ("shamos", "hl3") else 1100
+    rng = np.random.default_rng(71)
+    for shape in ((50,), (COUNTED_FROM.get(kind, 300),), (64, 50), (4096, 100),
+                  (est._NETWORK_BLOCK, small), (2, long)):
+        x = rng.normal(size=shape)
+        x[..., ::7] = rng.choice([-0.0, 0.0, 1.0], size=x[..., ::7].shape)
+        given = x.copy()
+        est._row_estimates(estimator, x)
+        assert x.tobytes() == given.tobytes(), (estimator, shape)
+    assert (sum(rows for rows, _ in bands) > 0) == pairwise
+    assert counted == ([COUNTED_FROM[kind], long, long] if pairwise else [])
+    assert networks == {None: [], "mad": [est._NETWORK_BLOCK] * 2}.get(kind, [est._NETWORK_BLOCK])
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+def test_block_memory_stays_below_the_block(kind):
+    """A 4096 x 200 normal block, 6.25 MB, is sorted one chunk at a time,
+    so the call's traced peak stays below the block's own size."""
+    block = np.random.default_rng(79).normal(size=(4096, 200))
+    _row_medians(block[:64], kind)  # the plan is cached before tracing
+    tracemalloc.start()
+    try:
+        _row_medians(block, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block.nbytes == 6.25 * 2 ** 20, (kind, peak)
+
+
 @pytest.mark.parametrize("kind", PAIRWISE)
 def test_needed_matches_brute_force(kind):
     """``_needed`` on sorted rows of integers, where no rounding decides, at
@@ -895,6 +935,14 @@ def test_needed_matches_brute_force(kind):
                     first = est._needed(plan, block[:3], lo[:3], hi[:3])
                     parts = est._needed(plan, block[3:], lo[3:], hi[3:], first)
                     assert [p.tolist() for p in parts] == [w.tolist() for w in want]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_of_no_rows_has_no_medians(kind):
+    """A block of no rows gives an empty array, for the pairwise kinds as
+    for the median, with no row to sort or to read the ends of."""
+    got = _row_medians(np.ones((0, 5)), kind)
+    assert got.shape == (0,) and got.dtype == float
 
 
 @pytest.mark.parametrize("kind", ["shamos", "hl1"])

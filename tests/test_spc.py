@@ -273,6 +273,23 @@ class TestContaminationExperiment:
         # nonzero delta
         assert rows == [size * k] * 3 + [size] * 6
 
+    def test_block_leaves_its_sample_unchanged(self):
+        # the kernels score a view of the drawn sample, and the block then
+        # shifts a copy of its first subgroups: the sample must still hold
+        # the values as drawn, scaled and shifted, in every row's order
+        size, k, n, seed = 128, 10, 5, 5
+        drawn = []
+
+        class Draw:
+            def standard_normal(self, shape):
+                drawn.append(_block_rng(seed, 1, k * n, 0).standard_normal(shape))
+                return drawn[-1]
+
+        _experiment_block(Draw(), size, k, n, 5.0, 1.5, (0.0, 20.0), 2)
+        want = 5.0 + 1.5 * _block_rng(seed, 1, k * n, 0).standard_normal((size, k, n))
+        assert len(drawn) == 1
+        assert drawn[0].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name, value", [("k", 0), ("k", -2), ("n", 1), ("n", 0)])
     def test_too_few_subgroups_or_observations(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} \(.* got {value}$"):
