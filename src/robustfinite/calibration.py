@@ -35,22 +35,21 @@ row path that the scalar API and the control charts share.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import reduce
-from multiprocessing.util import Finalize
-from typing import Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 import numpy as np
 
 from ._facts import Estimator, _check_int, _is_real
 from .estimators import _check_pair_limit, _row_estimates
 from .factors import BiasModel, normalized_variance
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.util import Finalize
 
 __all__ = [
     "SimulationConfig",
@@ -265,6 +264,8 @@ def _exit_with_parent() -> None:
     """Pool initializer: a thread ends the worker once the process that
     opened the pool is gone, also when a signal left that process no time
     to stop its workers."""
+    import multiprocessing.connection
+
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch():
@@ -274,7 +275,20 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+def _open_executor(workers: int) -> ProcessPoolExecutor:
+    """A process pool of ``workers`` workers: the one place a pool is
+    opened, which tests replace.  ``concurrent.futures``, ``multiprocessing``
+    and the 30-odd modules they import load with the first pooled call, so
+    one-worker runs and the control charts never import them."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
+
+
 def _map_blocks(tasks: list, workers: int, chunk: int) -> list:
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.util import Finalize
+
     global _pool, _idle
     with _pool_lock:
         if _idle is not None:
@@ -283,7 +297,7 @@ def _map_blocks(tasks: list, workers: int, chunk: int) -> list:
         if _pool is not None and _pool[0] != workers:
             _close_pool()
         if _pool is None:
-            executor = ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
+            executor = _open_executor(workers)
             # A multiprocessing child joins its children at exit before
             # concurrent.futures stops the pool, and would wait for idle
             # workers; this shuts the pool down first, also before the call

@@ -281,7 +281,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.raw_flags = [a for a in argv if a != args.command]
+    # the flags around the subcommand, whose values may spell its name
+    at = argv.index(args.command)
+    args.raw_flags = argv[:at] + argv[at + 1:]
     try:
         args.func(args)
     except _Usage as e:

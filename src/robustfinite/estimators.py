@@ -61,7 +61,11 @@ chunk, each row that misses the band and each row whose middle sums
 overflow, selected again with its values halved.  ``_select_middles``
 picks how a chunk's rows are selected, by the row count and the row length
 m only: by a sort, a partition or, in blocks of 1024 rows or more of up to
-9 values, a sorting network (Batcher 1968) over whole columns.  A pair
+9 values, a sorting network (Batcher 1968) over whole columns, in chunks
+of at most 8192 rows whose columns stay in a 2 MB L2 cache: at 40,960 x 5 a
+call took 0.60-0.93 times as long as in one chunk and peaked at 0.72-1.50
+MB of traced memory rather than 2.35-4.54 MB, at 100,000 x 2 0.26-0.69
+times as long at 1.20-1.33 MB rather than 5.34-6.87 MB.  A pair
 value, a MAD deviation or a scale times its consistency constant past the
 largest double rounds to an infinity without a warning:
 a block runs under one ``np.errstate(over="ignore")``, and a single row,
@@ -123,12 +127,24 @@ _FILL_PAIRS = 1 << 15
 #   call per comparator: a median call through it took 0.40 (m = 2), 0.56
 #   (m = 5) and 0.93 (m = 9) times as long as the faster of sort and
 #   partition at 1024 rows, but 0.98-1.37 at 64 rows and 1.22 (m = 9) at 512;
+# - a network selects in chunks of at most _NETWORK_CHUNK rows, whose columns
+#   stay in a 2 MB L2 cache, rather than _BUFFER_PAIRS // m (29,127-262,144
+#   rows): on normal blocks a call took 0.60-0.93 times as long at 40,960 x 5
+#   (hl1 fastest, hl3 slowest), 0.26 (median), 0.54 (mad) and 0.69 (hl3) at
+#   100,000 x 2, but 0.91-1.12 at 20,000 x 5 and 0.93-1.20 at 16,384 x 3 and
+#   x 9, in two or three chunks for one, the median slowest, 25 us more per
+#   call at 16,384 x 3; its traced peak fell from 2.35-4.54 MB to
+#   0.72-1.50 MB at 40,960 x 5 and from 5.34-6.87 MB to 1.20-1.33 MB at
+#   100,000 x 2.  Chunks of 2048 or 4096 rows were slower than one chunk at
+#   16,384-20,000 rows, by up to 2.0 times, and the median and the MAD at
+#   40,960 x 5; chunks of 16,384 rows peaked at 1.13-2.69 MB at 40,960 x 5;
 # - other block rows are sorted up to _SORT_ROW values and partitioned
 #   beyond: a sort took 0.80-1.10 times as long at m = 11-15, 0.66 at
 #   256, 1.03 at 320 and 1.20-1.34 at 539-1098 (hl1, shamos, n = 50).
 _SORT_SINGLE_ROW = 700
 _NETWORK_ROW = 9
 _NETWORK_BLOCK = 1024
+_NETWORK_CHUNK = 8192
 _SORT_ROW = 256
 
 # A block whose plan keeps at least _BAND_PAIRS pairs per row, and which has
@@ -722,6 +738,7 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
         # column-major, which tells _fill_pairs and _select_middles that a
         # sorting network selects in it, and makes each column it compares
         # contiguous
+        step = min(step, _NETWORK_CHUNK)
         buf = np.empty((m, min(rows, step))).T
     elif learn:
         flat = np.empty(_BUFFER_PAIRS)

@@ -204,8 +204,9 @@ class TestConfigValidation:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records each pool opened and maps
-    in this process, so no test starts real workers."""
+    """Stands in for the ProcessPoolExecutor of ``calibration._open_executor``:
+    records each pool opened and maps in this process, so no test starts
+    real workers."""
 
     opened: list = []
 
@@ -231,7 +232,7 @@ class _RecordingPool:
 class TestBlockRunner:
     @pytest.fixture
     def pools(self, monkeypatch):
-        monkeypatch.setattr(calibration, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(calibration, "_open_executor", _RecordingPool)
         monkeypatch.setattr(calibration, "_pool", None)
         monkeypatch.setattr(calibration, "_idle", None)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -308,7 +309,7 @@ class TestBlockRunner:
             time.sleep(1e-3)
             shut.append(pool)
 
-        monkeypatch.setattr(calibration, "ProcessPoolExecutor", opening)
+        monkeypatch.setattr(calibration, "_open_executor", opening)
         monkeypatch.setattr(_RecordingPool, "shutdown", shutdown)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -336,6 +336,19 @@ def test_repeated_calls_share_one_parser(capsys, obs_file):
     assert build_parser.cache_info().misses == 1
 
 
+def test_header_keeps_flag_values_that_spell_the_subcommand(capsys, tmp_path, monkeypatch):
+    """Only the subcommand token leaves the header's flags: an output or an
+    input file named after the subcommand stays, so the header reruns it."""
+    monkeypatch.chdir(tmp_path)
+    Path("estimate").write_text("1\n2\n3\n")
+    assert main(["factors", "--n", "5", "--out", "factors"]) == 0
+    assert Path("factors").read_text().splitlines()[0] == \
+        f"# robustfinite {__version__} | factors --n 5 --out factors"
+    argv = ["estimate", "--estimator", "mean", "--input", "estimate"]
+    _, out, _ = run_cli(capsys, *argv)
+    assert out.splitlines()[0] == f"# robustfinite {__version__} | " + " ".join(argv)
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -71,6 +71,25 @@ def test_estimate_leaves_out_the_engine(tmp_path):
     assert loaded_after(code, ENGINE) == []
 
 
+@pytest.mark.parametrize("code", [
+    "import robustfinite.calibration",
+    "import robustfinite.spc",
+    "from robustfinite.cli import main\nassert main(['simulate', '--estimator', 'mad', "
+    "'--n', '5', '--reps', '8192', '--seed', '1', '--workers', '1']) == 0",
+], ids=["calibration", "spc", "simulate-one-worker"])
+def test_one_worker_leaves_out_the_engine(code):
+    assert loaded_after(code, ENGINE) == []
+
+
+def test_pooled_call_loads_the_engine():
+    # two blocks on two workers, whatever the host's CPU count
+    code = ("import os\nos.cpu_count = lambda: 2\n"
+            "from robustfinite.calibration import SimulationConfig, simulate\n"
+            "simulate(SimulationConfig('mad', (5,), master_seed=1, replications=8192, "
+            "worker_count=2))")
+    assert loaded_after(code, ENGINE) == list(ENGINE)
+
+
 def test_every_old_export_resolves_lazily():
     code = f"""
 import robustfinite, importlib

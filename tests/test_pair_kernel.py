@@ -138,13 +138,16 @@ def test_small_n_matches_brute_force(kind, networks):
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_across_chunks_matches_brute_force(kind):
     """n = 60 in three chunks, the last one partial; and, at the largest n
-    whose rows a sorting network takes, one column-major chunk followed by
-    a partial one of 7 rows or of a single row."""
+    whose rows a sorting network takes, one column-major chunk of
+    ``_NETWORK_CHUNK`` rows followed by a partial one of 7 rows or of a
+    single row."""
     rng = np.random.default_rng(7)
     small = max(n for n in boundary_sizes(kind)
                 if values_per_row(kind, n) <= est._NETWORK_ROW)
     for n, chunks, last in ((60, 2, 7), (small, 1, 7), (small, 1, 1)):
         step = _BUFFER_PAIRS // values_per_row(kind, n)
+        if n == small:
+            step = min(step, est._NETWORK_CHUNK)
         rows = chunks * step + last
         block = rng.normal(size=(rows, n))
         block[::5] = np.round(block[::5])  # ties in every fifth row
@@ -152,6 +155,36 @@ def test_block_across_chunks_matches_brute_force(kind):
         assert got.shape == (rows,)
         for row, value in zip(block, got):
             assert value.hex() == reference_median(row, kind).hex(), (kind, n, rows)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_network_chunk_boundaries_are_bit_exact(kind, networks):
+    """Blocks of two whole network chunks and a last one of fewer rows than
+    a network takes, at every n whose rows a network selects in: normal
+    rows, rounded ties, mixed-sign zeros and values near the largest
+    double.  The medians equal, bit for bit, those of the same rows in
+    1000-row pieces, which are sorted instead."""
+    rng = np.random.default_rng(83)
+    chunk, last = est._NETWORK_CHUNK, 700
+    rows = 2 * chunk + last
+    for n in range(MIN_N[kind], est._NETWORK_ROW + 1):
+        m = values_per_row(kind, n)
+        if m > est._NETWORK_ROW:
+            continue
+        block = rng.normal(size=(rows, n))
+        block[1::4] = np.round(block[1::4])
+        block[2::4] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=block[2::4].shape)
+        block[3::4] = rng.choice([-1.7e308, -1e308, -0.0, 0.0, 1.5e308, 1.7e308],
+                                 size=block[3::4].shape)
+        networks.clear()
+        want = np.concatenate([_row_medians(block[r:r + 1000], kind)
+                               for r in range(0, rows, 1000)])
+        assert networks == [], (kind, n)
+        got = _row_medians(block, kind)
+        assert got.tobytes() == want.tobytes(), (kind, n)
+        # a row of one value is selected without a network
+        chunks = [c for c in (chunk, chunk, last) for _ in range(1 + (kind == "mad"))]
+        assert networks == (chunks if m > 1 else []), (kind, n)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -880,7 +913,8 @@ def test_no_kernel_writes_into_its_input(estimator, networks, bands, counted):
     long = 800 if kind in ("shamos", "hl3") else 1100
     rng = np.random.default_rng(71)
     for shape in ((50,), (COUNTED_FROM.get(kind, 300),), (64, 50), (4096, 100),
-                  (est._NETWORK_BLOCK, small), (2, long)):
+                  (est._NETWORK_BLOCK, small), (est._NETWORK_CHUNK + est._NETWORK_BLOCK, small),
+                  (2, long)):
         x = rng.normal(size=shape)
         x[..., ::7] = rng.choice([-0.0, 0.0, 1.0], size=x[..., ::7].shape)
         given = x.copy()
@@ -888,7 +922,9 @@ def test_no_kernel_writes_into_its_input(estimator, networks, bands, counted):
         assert x.tobytes() == given.tobytes(), (estimator, shape)
     assert (sum(rows for rows, _ in bands) > 0) == pairwise
     assert counted == ([COUNTED_FROM[kind], long, long] if pairwise else [])
-    assert networks == {None: [], "mad": [est._NETWORK_BLOCK] * 2}.get(kind, [est._NETWORK_BLOCK])
+    # the block of two network chunks follows the one of a single chunk
+    chunks = [est._NETWORK_BLOCK, est._NETWORK_CHUNK, est._NETWORK_BLOCK]
+    assert networks == {None: [], "mad": [c for c in chunks for _ in (0, 1)]}.get(kind, chunks)
 
 
 @pytest.mark.parametrize("kind", PAIRWISE)
@@ -904,6 +940,30 @@ def test_block_memory_stays_below_the_block(kind):
     finally:
         tracemalloc.stop()
     assert peak < block.nbytes == 6.25 * 2 ** 20, (kind, peak)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_network_memory_stays_below_2_mb(kind, networks):
+    """Tall blocks of short rows, as the control charts and the
+    contamination experiment score, go through the sorting network in
+    chunks of at most ``_NETWORK_CHUNK`` rows, so one call's traced peak
+    stays below 2 MB: 40,960 x 5 and 100,000 x 2 normal blocks, for every
+    kind whose rows a network selects in."""
+    rng = np.random.default_rng(89)
+    for rows, n in ((40_960, 5), (100_000, 2)):
+        if not 1 < values_per_row(kind, n) <= est._NETWORK_ROW:
+            continue
+        block = rng.normal(size=(rows, n))
+        _row_medians(block[:64], kind)  # the plan is cached before tracing
+        networks.clear()
+        tracemalloc.start()
+        try:
+            _row_medians(block, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert networks, (kind, rows, n)
+        assert peak < 2 * 2 ** 20, (kind, rows, n, peak)
 
 
 @pytest.mark.parametrize("kind", PAIRWISE)
