@@ -88,6 +88,10 @@ def _check_flag(name: str, value) -> bool:
     return value
 
 
+# The pairwise kinds whose pairs are i < j only, without the diagonal (i, i).
+_OFF_DIAGONAL = ("shamos", "hl1")
+
+
 def _multiset_size(kind: str, n: int) -> int:
     """How many values ``_row_medians`` takes the median of in a row of n:
     n, or the pairs i < j (shamos, hl1), i <= j (hl2) or all (i, j) (hl3)."""

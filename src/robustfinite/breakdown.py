@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ._facts import Estimator, _check_int, _multiset_size
+from ._facts import _OFF_DIAGONAL, Estimator, _check_int, _multiset_size
 
 __all__ = [
     "BreakdownResult",
@@ -128,7 +128,7 @@ def breakdown_oracle(n: int, estimator: Estimator | str) -> BreakdownResult:
     floor((N-1)/2) of the N pair statistics.  k* is found by trying every k.
     """
     est = Estimator(estimator)
-    n = _check_int("n", n, 2 if est in (Estimator.HL1, Estimator.SHAMOS) else 1)
+    n = _check_int("n", n, 2 if est._kind in _OFF_DIAGONAL else 1)
     if est._kind is None:
         raise ValueError(f"no breakdown oracle for {est}")
     # the statistics left clean are those of the n - k clean observations

@@ -23,7 +23,9 @@ A block returns its per-replication statistics as 1-d arrays, which
 and ``_run_blocks`` merges in block order.  Results are therefore a pure
 function of the experiment and its master seed:
 bit-identical for any worker count, with workers mapped over blocks by one
-process pool that the process keeps while calls keep coming.
+process pool that the process keeps while calls keep coming.  The pool's
+size is min(requested, CPUs this process may run on), whatever a call's
+block count, so calls that ask for the same worker count share it.
 ``_run_blocks`` also owns the input rules all three share: the seed is an
 integer of at least 0 and the replication count an integer of at least
 100, both checked by ``_facts._check_int``.
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
@@ -71,15 +73,24 @@ BLOCK_SIZE = 4096
 WORKERS_ENV_VAR = "ROBUST_FINITE_THREADS"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_worker_count(worker_count: int | str | None = "auto") -> int:
     """Resolve a worker-count setting; "auto" honors the environment
-    override before falling back to the CPU count.  A count that is not an
-    integer, or is below 1, is an error that names where it came from."""
+    override before falling back to the usable CPUs (``_usable_cpus``).  A
+    count that is not an integer, or is below 1, is an error that names
+    where it came from."""
     source = "worker count"
     if worker_count in (None, "auto"):
         env = os.environ.get(WORKERS_ENV_VAR)
         if not env:
-            return os.cpu_count() or 1
+            return _usable_cpus()
         worker_count, source = env, WORKERS_ENV_VAR
     count = worker_count
     if isinstance(count, str):
@@ -162,11 +173,6 @@ class _Moments:
 
 # The smallest replication count a Monte Carlo run accepts.
 _MIN_REPLICATIONS = 100
-
-
-def _validate_estimator_n(estimator: Estimator, n: int) -> None:
-    _check_int(f"n (sample size) for {estimator.value}", n, estimator.min_n)
-    _check_pair_limit(estimator, n)
 
 
 def _check_sizes(n_values, minimum: int | None = None) -> tuple[int, ...]:
@@ -327,25 +333,26 @@ def _run_blocks(fn: Callable[..., list[np.ndarray]], domain: int,
     that ``_run_block`` summarises in the worker.  ``fn`` must be a
     module-level function, so pool workers can unpickle it.
 
-    A call runs on min(requested, blocks, CPUs) workers.  With one, blocks
-    run in this process; with more, they run on the process's pool, which
-    is opened at the first such call and kept while calls keep coming: a
-    call with the same count reuses its idle workers, one with another count
-    shuts it down and opens a new one, and a pool without a call for
-    ``_IDLE_S`` seconds closes.  Pooled calls from several threads run one
-    at a time.  The workers start by the default method, so the ones that
-    are forked see this process as it was when the pool opened.  A forked
-    child drops its copy of the pool and opens its own.  A worker that dies
-    raises ``BrokenProcessPool`` from the call; the next call opens a fresh
-    pool.
+    A call runs on min(requested, ``_usable_cpus()``) workers, whatever its
+    block count, so calls that ask for the same count share one pool.  A
+    call of one block, or on one worker, runs in this process; any other
+    runs on the process's pool, which is opened at the first such call and
+    kept while calls keep coming: a call with the same count reuses its idle
+    workers, one with another count shuts it down and opens a new one, and
+    a pool without a call for ``_IDLE_S`` seconds closes.  Pooled calls
+    from several threads run one at a time.  The workers start by the
+    default method, so the ones that are forked see this process as it was
+    when the pool opened.  A forked child drops its copy of the pool and
+    opens its own.  A worker that dies raises ``BrokenProcessPool`` from the
+    call; the next call opens a fresh pool.
     """
     _check_int("master_seed", master_seed, 0)
     _check_int("replications", replications, _MIN_REPLICATIONS)
     sizes = _block_sizes(replications)
     tasks = [(fn, master_seed, domain, stream, b, size, args)
              for stream, args in cells.values() for b, size in enumerate(sizes)]
-    workers = min(resolve_worker_count(worker_count), len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
+    workers = min(resolve_worker_count(worker_count), _usable_cpus())
+    if workers <= 1 or len(tasks) <= 1:
         results = [_run_block(t) for t in tasks]
     else:
         # at most tasks/(2*workers) blocks a chunk, so every worker gets some
@@ -388,7 +395,8 @@ class SimulationConfig:
         object.__setattr__(self, "n_values", _check_sizes(self.n_values))
         _check_int("replications", self.replications, _MIN_REPLICATIONS)
         for n in self.n_values:
-            _validate_estimator_n(self.estimator, n)
+            _check_int(f"n (sample size) for {self.estimator.value}", n, self.estimator.min_n)
+            _check_pair_limit(self.estimator, n)
         if self.worker_count not in (None, "auto"):
             resolve_worker_count(self.worker_count)
 
@@ -502,8 +510,10 @@ class FitInput:
         return n, y, w
 
 
-def _rss(y: np.ndarray, fitted: np.ndarray, w: np.ndarray) -> float:
-    return float(math.fsum(w * (y - fitted) ** 2))
+def _with_rss(model: BiasModel, n: np.ndarray, y: np.ndarray, w: np.ndarray) -> BiasModel:
+    """``model`` with the weighted residual sum of squares of its fit."""
+    fitted = np.array([model.evaluate(v) for v in n])
+    return replace(model, rss=float(math.fsum(w * (y - fitted) ** 2)))
 
 
 def fit_hayes(data: FitInput, target: str = "bias") -> BiasModel:
@@ -524,9 +534,7 @@ def fit_hayes(data: FitInput, target: str = "bias") -> BiasModel:
         raise ValueError("singular normal equations; n values too degenerate")
     p = (b1 * s44 - b2 * s33) / det
     q = (s22 * b2 - s33 * b1) / det
-    model = BiasModel("hayes", target, (p, q))
-    return BiasModel("hayes", target, (p, q),
-                     rss=_rss(y, np.array([model.evaluate(v) for v in n]), w))
+    return _with_rss(BiasModel("hayes", target, (p, q)), n, y, w)
 
 
 def fit_williams(data: FitInput, target: str = "bias") -> BiasModel:
@@ -553,21 +561,20 @@ def fit_williams(data: FitInput, target: str = "bias") -> BiasModel:
     intercept = my - slope * mx
     amp = sign * math.exp(intercept)
     exponent = -slope
-    model = BiasModel("williams", target, (amp, exponent))
-    return BiasModel("williams", target, (amp, exponent),
-                     rss=_rss(y, np.array([model.evaluate(v) for v in n]), w))
+    return _with_rss(BiasModel("williams", target, (amp, exponent)), n, y, w)
 
 
 # ---------------------------------------------------------------------------
 # table regeneration
 
 
+# the six order-statistic estimators, in the tables' column order
+_ORDER_STATISTIC = (Estimator.MEDIAN, Estimator.HL1, Estimator.HL2, Estimator.HL3,
+                    Estimator.MAD, Estimator.SHAMOS)
 _TABLE_COLUMNS = {
     "bias": (Estimator.MAD, Estimator.SHAMOS),
-    "nvar": (Estimator.MEDIAN, Estimator.HL1, Estimator.HL2, Estimator.HL3,
-             Estimator.MAD, Estimator.SHAMOS),
-    "re": (Estimator.MEDIAN, Estimator.HL1, Estimator.HL2, Estimator.HL3,
-           Estimator.MAD, Estimator.SHAMOS),
+    "nvar": _ORDER_STATISTIC,
+    "re": _ORDER_STATISTIC,
 }
 
 
@@ -601,7 +608,7 @@ def regenerate_table(table_id: str, n_values: Iterable[int], master_seed: int,
                for n in n_values}
     for n, batch in batches.items():
         for e in batch:
-            _validate_estimator_n(e, n)
+            _check_pair_limit(e, n)
     cells = _simulate_cells(batches, replications, master_seed, worker_count)
 
     rows = []

@@ -105,9 +105,9 @@ def _cmd_estimate(args) -> None:
 
 def _cmd_breakdown(args) -> None:
     rows = breakdown.breakdown_table(args.n_max)
-    out = [[str(r["n"])] + [f"{r[c]:.7f}" for c in ("median_mad", "hl1_shamos", "hl2", "hl3")]
-           for r in rows]
-    _emit(args, ["n", "median_mad", "hl1_shamos", "hl2", "hl3"], out)
+    header = list(rows[0])
+    out = [[str(r["n"])] + [f"{r[c]:.7f}" for c in header[1:]] for r in rows]
+    _emit(args, header, out)
 
 
 def _cmd_factors(args) -> None:
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factors", help="unbiasing factors for one sample size")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--model", choices=("hayes", "williams"), default="hayes",
+    p.add_argument("--model", choices=factors._MODEL_FORMS, default="hayes",
                    help="bias model used beyond the tables (n > 100)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_factors)
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a bias model to simulation output")
-    p.add_argument("--model", required=True, choices=("hayes", "williams"))
+    p.add_argument("--model", required=True, choices=factors._MODEL_FORMS)
     p.add_argument("--input", required=True, help="CSV from the simulate subcommand")
     p.add_argument("--target", default="A", choices=("A", "B", "bias", "nvar"),
                    help="A/B/bias fit the bias column; nvar fits the normalized column")

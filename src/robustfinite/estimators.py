@@ -48,7 +48,7 @@ the simulator from n = 53 (hl3, shamos), 73 (hl2) or 74 (hl1) on, and
 which has at least 8 times the rows of the chunks that hold 32 rows, as
 its 4096-row blocks do, selects those chunks from the plan's pairs and
 then learns a band: the plan narrowed to the places of each window that
-the rows so far needed, widened a little (``_band``).  Later chunks form
+the rows so far needed, widened a little (``_needed``).  Later chunks form
 and select only the band, about half of the plan's pairs at n = 100 and a
 third at n = 200, and check each row exactly: its largest pair below the
 band must not exceed its lower middle value, nor its smallest pair above
@@ -86,7 +86,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ._facts import Estimator, _check_flag, _check_int, _multiset_size
+from ._facts import _OFF_DIAGONAL, Estimator, _check_flag, _check_int, _multiset_size
 
 __all__ = [
     "Estimator",
@@ -151,7 +151,7 @@ _SORT_ROW = 256
 # at least _BAND_CHUNKS times the rows of the whole chunks that hold
 # _LEARN_ROWS rows, selects those chunks with the plan and its later rows in
 # a band of each i's pairs that they needed, widened by _BAND_MARGIN pairs
-# on each side, and again by each row that misses it (see _band).  Through
+# on each side, and again by each row that misses it (see _needed).  Through
 # the band a normal block of 4096 rows took 0.90-1.01 times as long at plans
 # of 1075-1115 pairs (n = 50 for shamos and hl3, 70 for hl1 and hl2),
 # 0.85-0.95 at 1209-1600 and 0.80-0.82 at 1815-1849.  At n = 56-100, blocks
@@ -296,7 +296,6 @@ class _PairPlan(NamedTuple):
     kind: str
     size: int                 # values of the pairs, hl3's twins twice
     ranks: tuple[int, int]    # ranks of the two middle values among them
-    middle: int               # rank of the upper one among all the values
     starts: np.ndarray
     stops: np.ndarray
     index: tuple | None       # _pair_index(plan), while it is small
@@ -328,7 +327,7 @@ def _narrow(plan: _PairPlan, low: np.ndarray, high: np.ndarray) -> _PairPlan | N
     ranks = (plan.ranks[0] - shift, plan.ranks[1] - shift)
     if ranks[0] < 0 or ranks[1] >= size:
         return None
-    return _PairPlan(plan.kind, size, ranks, plan.middle, starts, stops, None)
+    return _PairPlan(plan.kind, size, ranks, starts, stops, None)
 
 
 @lru_cache(maxsize=256)
@@ -347,14 +346,14 @@ def _pair_plan(n: int, kind: str) -> _PairPlan:
     O(n); the cache holds every (n, kind) of a typical session.  A row too
     short to hold a pair, n < 2 for shamos and hl1, is a ``ValueError``.
     """
-    first = 1 if kind in ("shamos", "hl1") else 0
+    first = 1 if kind in _OFF_DIAGONAL else 0
     if n <= first:
         raise ValueError(f"{kind} needs rows of at least {first + 1} value"
                          f"{'s' if first else ''}, got n={n}")
     m = _multiset_size(kind, n)
     lo_rank, hi_rank = (m - 1) // 2, m // 2
     i = np.arange(n)
-    whole = _PairPlan(kind, m, (lo_rank, hi_rank), hi_rank, i + first, np.full(n, n), None)
+    whole = _PairPlan(kind, m, (lo_rank, hi_rank), i + first, np.full(n, n), None)
 
     def first_j(cond):
         # the smallest j of i's window with cond(j), n if none (cond holds
@@ -549,7 +548,7 @@ def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
     kind = plan.kind
     n = s.size
     i = np.arange(n)
-    first = 1 if kind in ("shamos", "hl1") else 0
+    first = 1 if kind in _OFF_DIAGONAL else 0
     starts, stops = plan.starts, plan.stops
     low, k = plan.ranks
 
@@ -606,21 +605,6 @@ def _count_middle(s: np.ndarray, plan: _PairPlan) -> tuple[float, float]:
     return values[values < upper].max().item(), upper
 
 
-def _band(plan: _PairPlan, low: np.ndarray, high: np.ndarray) -> _PairPlan | None:
-    """The band of the places ``low[i] <= p < high[i]`` of each i's window
-    of ``plan``, with its index, which a large block's later chunks select
-    in, or None when a middle rank would fall outside it.
-
-    The rows a block selects with the plan teach it (``_needed``): those of
-    the first chunks, then each row that misses it, which is selected again
-    with the plan and widens the band for later chunks.  ``_band_misses``
-    checks each row selected in it, exactly, so that the values selected
-    are the plan's middle values, as in Floyd and Rivest's (1975)
-    selection, which also picks its values from a guess and checks it."""
-    band = _narrow(plan, low, high)
-    return band and band._replace(index=_pair_index(band))
-
-
 def _needed(plan: _PairPlan, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             bounds: tuple[np.ndarray, np.ndarray] | None = None):
     """(low, high): each i's places in its window of ``plan`` from the
@@ -654,7 +638,9 @@ def _band_misses(rows: np.ndarray, plan: _PairPlan, band: _PairPlan, lo: np.ndar
     the band lies strictly between them, and the band's ranks are those of
     the plan's middle values less the values below the band, so they are the
     plan's middle values.  Pair values grow with j, so the pairs just below
-    and just above the band of each i decide, two gathers of at most n."""
+    and just above the band of each i decide, two gathers of at most n.  So
+    a band selects as Floyd and Rivest's (1975) selection does, which also
+    picks its values from a guess and checks it."""
     miss = np.zeros(len(rows), dtype=bool)
     i = np.flatnonzero(band.starts > plan.starts)
     if i.size:
@@ -692,7 +678,7 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
     ``block`` is never written: a single pairwise row is sorted up front,
     a block's pairwise rows one chunk at a time into a new array, so the
     call's working memory is the buffer.  Each chunk, each row that misses
-    a band (``_band``, ``_needed``) and each row whose middle sums
+    a band (``_needed``, ``_band_misses``) and each row whose middle sums
     overflow, with halved values, goes through one select step: counted in
     (``_count_middle``) when the plan caches no index and the row is the
     call's only one or too long to share the buffer, else filled into the
@@ -718,10 +704,10 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
     half = 0.5 if hl else 1.0
     if kind not in _PAIR_KINDS:
         plan, count = None, False
-        m, ranks, middle = n, ((n - 1) // 2, n // 2), n // 2
+        m, ranks = n, ((n - 1) // 2, n // 2)
     else:
         plan = _pair_plan(n, kind)
-        m, ranks, middle = plan.size, plan.ranks, plan.middle
+        m, ranks = plan.size, plan.ranks
         count = plan.index is None and (rows == 1 or m > _BUFFER_PAIRS)
         if plan.index is None and not count:
             plan = plan._replace(index=_pair_index(plan))
@@ -729,7 +715,7 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
         step = 1 if count else _BUFFER_PAIRS // m or 1
     except ZeroDivisionError:  # m = n = 0: _pair_plan rejected short pair rows
         raise ValueError(f"{kind} needs rows of at least 1 value, got n={n}") from None
-    # the rows of the whole chunks that teach the first band (see _band)
+    # the rows of the whole chunks that teach the first band (see _needed)
     learned = -(-_LEARN_ROWS // step) * step
     learn = plan is not None and not count and m >= _BAND_PAIRS and rows >= _BAND_CHUNKS * learned
     if count:
@@ -806,7 +792,8 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
             # taught no wider is the same band
             bounds = _needed(plan, chunk[taught], lo[taught], hi[taught], bounds)
             if start + len(chunk) >= learned:
-                sel = _band(plan, *bounds) or plan
+                band = _narrow(plan, *bounds)
+                sel = plan if band is None else band._replace(index=_pair_index(band))
         zeros, infinite = _midpoint(lo, hi, half, medians)
         if hl:
             # a middle pair sum passed the largest double, though its half
@@ -820,6 +807,7 @@ def _row_medians(block: np.ndarray, kind: str) -> np.ndarray:
             # counting the negative values of the unsorted row.  A halved
             # sum is negative or -0.0 exactly when the sum is.
             for r in zeros:
+                middle = _multiset_size(kind, n) // 2  # the upper middle rank
                 medians[r] = -0.0 if middle < _negatives(unsorted[start + r], kind) else 0.0
         start += len(chunk)
     # |x_i - x_j| is never -0.0, but +0.0 - -0.0 of sorted values can be

@@ -115,6 +115,10 @@ def c4(n: int) -> float:
     )
 
 
+# The bias-model forms, as ``BiasModel`` defines them.
+_MODEL_FORMS = ("hayes", "williams")
+
+
 @dataclass(frozen=True)
 class BiasModel:
     """A fitted bias-versus-n regression model.
@@ -129,7 +133,7 @@ class BiasModel:
     rss: float | None = None
 
     def __post_init__(self) -> None:
-        if self.form not in ("hayes", "williams"):
+        if self.form not in _MODEL_FORMS:
             raise ValueError(f"unknown model form {self.form!r}")
         c = self.coefficients
         if not (isinstance(c, (tuple, list)) and len(c) == 2
@@ -163,8 +167,9 @@ _BIAS_MODELS = {
 
 def _bias(estimator: Estimator, n: int, model: str) -> float:
     n = _check_int("n", n, 2)
-    if model not in ("hayes", "williams"):
-        raise ValueError(f"bias model must be 'hayes' or 'williams', got {model!r}")
+    if model not in _MODEL_FORMS:
+        forms = " or ".join(map(repr, _MODEL_FORMS))
+        raise ValueError(f"bias model must be {forms}, got {model!r}")
     if n <= TABLE_N_MAX:
         return load_table("bias_table")[n][f"{estimator.value}_bias"]
     return _BIAS_MODELS[(estimator.value, model)].evaluate(n)

@@ -101,10 +101,6 @@ class SubgroupSeries:
         return _row_estimates(Estimator.MEAN, self.data)
 
     @cached_property
-    def stds(self) -> np.ndarray:
-        return _row_estimates(Estimator.STD, self.data)
-
-    @cached_property
     def mads(self) -> np.ndarray:
         return _row_estimates(Estimator.MAD, self.data)
 

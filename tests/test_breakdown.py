@@ -2,8 +2,10 @@ import csv
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
+from robustfinite import estimators
 from robustfinite.breakdown import (
     BreakdownResult,
     breakdown_hl1,
@@ -143,3 +145,36 @@ def test_median_parity_pattern():
     for k in range(1, 200):
         assert breakdown_median(2 * k + 1).k_star == k
         assert breakdown_median(2 * k).k_star == k - 1
+
+
+ORDER_STATISTIC = ("median", "hl1", "hl2", "hl3", "mad", "shamos")
+
+
+@pytest.mark.parametrize("name", ORDER_STATISTIC)
+def test_kernels_explode_exactly_past_the_breakdown_point(name):
+    """k values of a normal sample replaced by 1e300 * (1..k): the estimate
+    stays below 1e200 exactly while k <= k*."""
+    estimate = getattr(estimators, name)
+    x = np.random.default_rng(13).normal(size=40)
+    for n in range(2, 41):
+        k_star = breakdown_point(n, name).k_star
+        for k in range(n + 1):
+            y = x[:n].copy()
+            y[:k] = 1e300 * np.arange(1, k + 1)
+            assert (abs(estimate(y)) < 1e200) == (k <= k_star), (n, k)
+
+
+def test_scales_implode_when_the_copies_hold_the_middle():
+    """k values replaced by copies of a clean one: the MAD is 0.0 exactly
+    when the k + 1 equal values are a majority, which at odd n is one
+    replacement before the MAD's explosion point, and shamos exactly when
+    their C(k + 1, 2) zero differences are a majority of the C(n, 2)."""
+    x = np.random.default_rng(13).normal(size=40)
+    for n in range(2, 41):
+        pairs = math.comb(n, 2)
+        for k in range(n):
+            y = x[:n].copy()
+            y[:k] = y[k]
+            assert (estimators.mad(y) == 0.0) == (k + 1 >= n // 2 + 1), (n, k)
+            zero_pairs = math.comb(k + 1, 2)
+            assert (estimators.shamos(y) == 0.0) == (zero_pairs >= pairs // 2 + 1), (n, k)

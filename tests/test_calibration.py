@@ -188,6 +188,12 @@ class TestConfigValidation:
         monkeypatch.delenv("ROBUST_FINITE_THREADS")
         assert resolve_worker_count("auto") >= 1
 
+    def test_auto_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("ROBUST_FINITE_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_worker_count("auto") == 1
+
     def test_worker_count_below_one_is_an_error(self, monkeypatch):
         rule = "must be an integer of at least 1, got"
         # a float or a bool is not truncated to a count
@@ -235,7 +241,7 @@ class TestBlockRunner:
         monkeypatch.setattr(calibration, "_open_executor", _RecordingPool)
         monkeypatch.setattr(calibration, "_pool", None)
         monkeypatch.setattr(calibration, "_idle", None)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(calibration, "_usable_cpus", lambda: 4)
         monkeypatch.delenv("ROBUST_FINITE_THREADS", raising=False)
         _RecordingPool.opened = []
         return _RecordingPool.opened
@@ -252,7 +258,14 @@ class TestBlockRunner:
         assert self._simulate(10, 64)[0].replications == 10 * BLOCK_SIZE
         self._simulate(10, 2)
         self._simulate(10, "auto")
-        assert [p.max_workers for p in pools] == [3, 4, 2, 4]
+        assert [p.max_workers for p in pools] == [4, 2, 4]
+
+    def test_pool_size_ignores_the_block_count(self, pools):
+        # one pool of min(requested, CPUs) serves calls of any block count,
+        # and a call of one block runs in this process
+        for blocks in (3, 10, 2, 1):
+            self._simulate(blocks, 64)
+        assert [p.max_workers for p in pools] == [4]
 
     def test_every_worker_gets_a_chunk(self, pools):
         for blocks, workers in ((5, 2), (3, 2), (10, 4), (64, 2)):
@@ -331,7 +344,7 @@ def _simulate_into(config, results):
     results.put(simulate(config))
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
+@pytest.mark.skipif(calibration._usable_cpus() < 2, reason="two workers need two CPUs")
 class TestReusedPool:
     """The kept pool, on real workers."""
 
@@ -344,7 +357,7 @@ class TestReusedPool:
 
     def test_calls_at_changing_worker_counts_agree(self, monkeypatch):
         # three workers even on two CPUs, so that the pool is replaced
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(calibration, "_usable_cpus", lambda: 4)
         config = replace(self.CONFIG, n_values=(3, 6, 9))
         serial = simulate(replace(config, worker_count=1))
         executors = []
@@ -639,6 +652,36 @@ class TestFitWilliams:
         pts = tuple((n, 0.435760656 * n ** -1.0084443) for n in range(100, 501, 25))
         model = fit_williams(FitInput(pts))
         assert model.coefficients[1] == pytest.approx(1.0, abs=0.02)
+
+
+class TestWeightedFits:
+    """Each point's squared residual counts with its weight.  The points
+    lie on the published models' grid, n = 51..100 and 109..500."""
+
+    POINTS = tuple((n, -0.76213 / n - 0.86413 / n**2 + 1e-4 * math.sin(n))
+                   for n in [*range(51, 101), *range(109, 501, 13)])
+
+    @pytest.mark.parametrize("fit", [fit_hayes, fit_williams])
+    def test_equal_weights_scale_only_the_rss(self, fit):
+        plain = fit(FitInput(self.POINTS))
+        doubled = fit(FitInput(self.POINTS, weights=(2.0,) * len(self.POINTS)))
+        assert doubled.coefficients == plain.coefficients
+        assert doubled.rss == 2 * plain.rss
+
+    @pytest.mark.parametrize("fit", [fit_hayes, fit_williams])
+    def test_uneven_weights_match_least_squares(self, fit):
+        n, y = np.array(self.POINTS).T
+        w = np.random.default_rng(3).uniform(0.5, 2.0, n.size)
+        model = fit(FitInput(self.POINTS, weights=tuple(w)))
+        if fit is fit_hayes:
+            design, target = np.column_stack([1 / n, 1 / n**2]), y
+        else:  # log|value| = log|amp| - exponent * log n
+            design, target = np.column_stack([np.ones_like(n), np.log(n)]), np.log(-y)
+        root = np.sqrt(w)
+        coef = np.linalg.lstsq(design * root[:, None], target * root, rcond=None)[0]
+        if fit is fit_williams:
+            coef = (-math.exp(coef[0]), -coef[1])
+        assert model.coefficients == pytest.approx(tuple(coef), rel=1e-12, abs=0)
 
 
 def _column(table, colname, lo=0):

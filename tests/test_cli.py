@@ -257,6 +257,18 @@ class TestSimulateAndFit:
         assert float(row[2]) == pytest.approx(0.4358, rel=1e-3)
         assert float(row[3]) == pytest.approx(1.0084, rel=1e-3)
 
+    def test_fit_asymptote_is_subtracted_before_fitting(self, capsys, tmp_path):
+        path = tmp_path / "nvar.csv"
+        path.write_text("n,normalized\n" + "".join(
+            f"{n},{2.7027 + 0.2996 / n - 149.357 / n**2!r}\n" for n in range(101, 141)))
+        args = ("fit", "--model", "hayes", "--input", str(path), "--target", "nvar")
+        code, out, _ = run_cli(capsys, *args, "--asymptote", "2.7027")
+        assert code == 0
+        assert data_lines(out)[1].split(",")[:4] == ["hayes", "nvar", "0.2996", "-149.357"]
+        # without it the constant is fitted as p/n + q/n^2
+        _, out, _ = run_cli(capsys, *args)
+        assert float(data_lines(out)[1].split(",")[2]) == pytest.approx(642, rel=1e-3)
+
     def test_fit_non_finite_value_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("n,estimate,bias,variance,normalized,mc_se,reps,seed\n"

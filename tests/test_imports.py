@@ -83,9 +83,8 @@ def test_one_worker_leaves_out_the_engine(code):
 
 def test_pooled_call_loads_the_engine():
     # two blocks on two workers, whatever the host's CPU count
-    code = ("import os\nos.cpu_count = lambda: 2\n"
-            "from robustfinite.calibration import SimulationConfig, simulate\n"
-            "simulate(SimulationConfig('mad', (5,), master_seed=1, replications=8192, "
+    code = ("from robustfinite import calibration as c\nc._usable_cpus = lambda: 2\n"
+            "c.simulate(c.SimulationConfig('mad', (5,), master_seed=1, replications=8192, "
             "worker_count=2))")
     assert loaded_after(code, ENGINE) == list(ENGINE)
 

@@ -337,7 +337,6 @@ def test_rank_bounds_match_brute_force(kind):
         shift = int(copies[below].sum())
         plan = est._pair_plan(n, kind)
         assert plan.ranks == (lo_rank - shift, hi_rank - shift), (kind, n)
-        assert plan.middle == hi_rank
         assert plan.size == copies[keep].sum(), (kind, n)
         kept = [p for p, k in zip(distinct, keep) if k]
         for row in range(n):
@@ -374,7 +373,7 @@ def test_narrow_matches_brute_force(kind):
         values = brute_pairs(n, kind)
         m = len(values)
         i = np.arange(n)
-        whole = est._PairPlan(kind=kind, size=m, ranks=((m - 1) // 2, m // 2), middle=m // 2,
+        whole = est._PairPlan(kind=kind, size=m, ranks=((m - 1) // 2, m // 2),
                               starts=i + (kind in ("shamos", "hl1")), stops=np.full(n, n),
                               index=None)
         plans = [whole] + ([est._pair_plan(n, kind)] if n >= MIN_N[kind] else [])
@@ -391,7 +390,7 @@ def test_narrow_matches_brute_force(kind):
                     refused += 1
                     continue
                 made += 1
-                assert (band.size, band.ranks, band.middle) == (len(want), ranks, plan.middle)
+                assert (band.size, band.ranks) == (len(want), ranks)
                 counts, a, b = est._pair_index(band)
                 assert counts.tolist() == np.bincount(a, minlength=n).tolist()
                 assert np.all(np.diff(a) >= 0)  # grouped by i
@@ -844,20 +843,20 @@ def test_band_holds_both_middle_ranks(kind):
     plan = est._pair_plan(100, kind)
     every = plan.stops - plan.starts
     none = np.zeros_like(every)
-    whole = est._band(plan, none, every)
-    assert (whole.size, whole.ranks, whole.middle) == (plan.size, plan.ranks, plan.middle)
+    whole = est._narrow(plan, none, every)
+    assert (whole.size, whole.ranks) == (plan.size, plan.ranks)
     assert np.array_equal(whole.starts, plan.starts)
     assert np.array_equal(whole.stops, plan.stops)
-    assert all(np.array_equal(a, b) for a, b in zip(whole.index, plan.index))
+    assert all(np.array_equal(a, b) for a, b in zip(est._pair_index(whole), plan.index))
     rows = np.sort(np.random.default_rng(0).normal(size=(3, 100)), axis=1)
     unbounded = est._band_misses(rows, plan, whole, np.full(3, -np.inf), np.full(3, np.inf))
     assert unbounded.size == 0
-    assert est._band(plan, every, every) is None
-    assert est._band(plan, none, none) is None
+    assert est._narrow(plan, every, every) is None
+    assert est._narrow(plan, none, none) is None
     # every pair of the first half of the i below the band, of the second
     # half above it: the ranks fall outside on one side or the other
     half = np.arange(every.size) < every.size // 2
-    assert est._band(plan, np.where(half, every, 0), np.where(half, every, 0)) is None
+    assert est._narrow(plan, np.where(half, every, 0), np.where(half, every, 0)) is None
 
 
 @pytest.mark.parametrize("kind", PAIRWISE)
